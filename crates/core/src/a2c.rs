@@ -8,7 +8,7 @@
 //! the policy gradient of Eq. 16 and the TD value loss of Eq. 19,
 //! plus an entropy bonus for sustained exploration.
 
-use crate::cache::{CacheKey, EvalCache};
+use crate::cache::{CacheKey, EvalCache, WorkingSet};
 use crate::env::{EnvConfig, EnvSnapshot, Evaluation, MulEnv};
 use crate::hooks::{emit_span_events, TrainHooks};
 use crate::outcome::{OptimizationOutcome, PipelineStats};
@@ -168,15 +168,24 @@ fn step_reply(env: &mut MulEnv, action: usize) -> Result<StepReply, RlMulError> 
 enum Cmd {
     /// Step the environment with this flattened action index.
     Step(usize),
-    /// Capture the environment's [`EnvSnapshot`] at the current step
-    /// boundary (the checkpoint path).
+    /// Capture the environment's [`EnvSnapshot`] and working set at
+    /// the current step boundary (the checkpoint path).
     Snapshot,
 }
 
 /// Worker replies, matching [`Cmd`] one-to-one.
 enum Reply {
     Step(Box<Result<StepReply, RlMulError>>),
-    Snapshot(Box<EnvSnapshot>),
+    Snapshot(Box<(EnvSnapshot, WorkingSet)>),
+}
+
+/// Every worker's [`EnvSnapshot`] plus the exported union of their
+/// working sets — the environment half of an [`A2cSnapshot`].
+type Captured = (Vec<EnvSnapshot>, Vec<(CacheKey, Evaluation)>);
+
+fn capture(envs: &mut [MulEnv]) -> Captured {
+    let snaps = envs.iter_mut().map(MulEnv::snapshot).collect();
+    (snaps, WorkingSet::export_union(envs.iter().map(MulEnv::working_set)))
 }
 
 /// A persistent worker per environment, fed commands over a channel —
@@ -214,7 +223,10 @@ impl<'scope> EnvPool<'scope> {
                             Cmd::Step(action) => {
                                 Reply::Step(Box::new(step_reply(&mut env, action)))
                             }
-                            Cmd::Snapshot => Reply::Snapshot(Box::new(env.snapshot())),
+                            Cmd::Snapshot => Reply::Snapshot(Box::new((
+                                env.snapshot(),
+                                env.working_set().clone(),
+                            ))),
                         };
                         if tx_reply.send(reply).is_err() {
                             break;
@@ -250,23 +262,24 @@ impl<'scope> EnvPool<'scope> {
         }
     }
 
-    /// Collects every environment's snapshot at the current step
-    /// boundary (workers are idle between `step_all` calls, so this
-    /// observes a consistent global state).
-    fn snapshot_all(&mut self) -> Vec<EnvSnapshot> {
+    /// Collects every environment's snapshot and working set at the
+    /// current step boundary (workers are idle between `step_all`
+    /// calls, so this observes a consistent global state).
+    fn snapshot_all(&mut self) -> Captured {
         match self {
-            EnvPool::Serial(envs) => envs.iter_mut().map(MulEnv::snapshot).collect(),
+            EnvPool::Serial(envs) => capture(envs),
             EnvPool::Parallel(workers) => {
                 for w in workers.iter() {
                     w.tx.send(Cmd::Snapshot).expect("worker thread exited early");
                 }
-                workers
+                let (snaps, sets): (Vec<EnvSnapshot>, Vec<WorkingSet>) = workers
                     .iter()
                     .map(|w| match w.rx.recv().expect("worker thread panicked") {
                         Reply::Snapshot(s) => *s,
                         Reply::Step(_) => unreachable!("snapshot command answered with step"),
                     })
-                    .collect()
+                    .unzip();
+                (snaps, WorkingSet::export_union(&sets))
             }
         }
     }
@@ -319,7 +332,8 @@ pub fn train_a2c_cached(
 /// Complete training state of an RL-MUL-E run at a step boundary:
 /// the shared network (weights and batch-norm running statistics),
 /// Adam moments, every worker's in-progress rollout, per-worker
-/// environment snapshots, the RNG stream and the shared cache.
+/// environment snapshots, the RNG stream and the union of the
+/// workers' cache working sets.
 ///
 /// Opaque outside the crate: produced by checkpointing runs
 /// ([`train_a2c_with`] with a store), serialized through
@@ -348,6 +362,12 @@ impl A2cSnapshot {
     /// Best cost across all workers at the snapshot.
     pub fn best_cost(&self) -> f64 {
         self.envs.iter().map(EnvSnapshot::best_cost).fold(f64::INFINITY, f64::min)
+    }
+
+    /// The cache entries the snapshot carries (the run's working set,
+    /// in [`EvalCache::export_entries`] order).
+    pub fn cache_entries(&self) -> &[(CacheKey, Evaluation)] {
+        &self.cache
     }
 }
 
@@ -392,17 +412,11 @@ pub fn train_a2c_with(
     config: &A2cConfig,
     cache: EvalCache,
     hooks: &TrainHooks,
-    resume: Option<A2cSnapshot>,
+    mut resume: Option<A2cSnapshot>,
 ) -> Result<OptimizationOutcome, RlMulError> {
     if config.n_envs == 0 || config.n_step == 0 {
         return Err(RlMulError::InvalidConfig { what: "n_envs and n_step must be ≥ 1".into() });
     }
-    // Import the snapshot's cache before constructing the workers, so
-    // their anchor runs and initial-state evaluations all hit.
-    let resume = resume.map(|mut snap| {
-        cache.import(std::mem::take(&mut snap.cache));
-        snap
-    });
     if let Some(snap) = &resume {
         let n = config.n_envs;
         if snap.envs.len() != n
@@ -430,9 +444,15 @@ pub fn train_a2c_with(
     // All workers share one evaluation cache: a state synthesized by
     // any of them is a hit for the rest, and the in-flight coalescing
     // keeps two workers from ever synthesizing the same state at the
-    // same time.
+    // same time. The snapshot's entries are imported (into worker 0's
+    // working set) before any worker is built, so every anchor run and
+    // initial-state evaluation hits.
+    let mut imported = resume.as_mut().map(|snap| std::mem::take(&mut snap.cache));
     let mut envs: Vec<MulEnv> = (0..config.n_envs)
-        .map(|_| MulEnv::with_cache(env_config.clone(), cache.clone()))
+        .map(|_| {
+            let entries = imported.take().unwrap_or_default();
+            MulEnv::with_imported(env_config.clone(), cache.clone(), entries)
+        })
         .collect::<Result<_, _>>()?;
     if hooks.telemetry.is_enabled() {
         for env in &mut envs {
@@ -566,7 +586,6 @@ pub fn train_a2c_with(
                     &masks,
                     &trajectory,
                     pool.snapshot_all(),
-                    &cache,
                     hooks,
                     &mut best_saved,
                     true,
@@ -598,8 +617,7 @@ pub fn train_a2c_with(
             &states,
             &masks,
             &trajectory,
-            envs.iter_mut().map(MulEnv::snapshot).collect(),
-            &cache,
+            capture(&mut envs),
             hooks,
             &mut best_saved,
             false,
@@ -619,8 +637,8 @@ pub fn train_a2c_with(
     }
 
     // Pool results across workers. Work counters sum per-worker
-    // contributions; distinct states are read once from the shared
-    // cache (every worker sees the same set).
+    // contributions; distinct states are the union of the workers'
+    // working sets.
     let mut best_cost = f64::INFINITY;
     let mut best = envs[0].best().0.clone();
     let mut pareto_points = Vec::new();
@@ -643,7 +661,7 @@ pub fn train_a2c_with(
         pipeline.surrogate_screened += s.surrogate_screened;
         pipeline.surrogate_forced_evals += s.surrogate_forced_evals;
     }
-    let states_visited = envs[0].stats().distinct_states;
+    let states_visited = WorkingSet::union_len(envs.iter().map(MulEnv::working_set));
     pipeline.cache_entries = states_visited;
     pipeline.nn = NnStats::snapshot().since(nn_before);
     Ok(OptimizationOutcome {
@@ -669,8 +687,7 @@ fn save_a2c_checkpoint(
     states: &[Vec<f32>],
     masks: &[Vec<bool>],
     trajectory: &[f64],
-    env_snaps: Vec<EnvSnapshot>,
-    cache: &EvalCache,
+    (env_snaps, cache): Captured,
     hooks: &TrainHooks,
     best_saved: &mut f64,
     periodic: bool,
@@ -689,7 +706,7 @@ fn save_a2c_checkpoint(
         masks: masks.to_vec(),
         trajectory: trajectory.to_vec(),
         envs: env_snaps,
-        cache: cache.export_entries(),
+        cache,
     };
     store.save_latest(&snap)?;
     if periodic && hooks.keep_history {

@@ -28,6 +28,7 @@
 use crate::env::Evaluation;
 use rlmul_check::sync::{Condvar, Mutex, RwLock};
 use rlmul_ct::PpgKind;
+use std::cmp::Ordering as KeyOrdering;
 use std::collections::hash_map::{DefaultHasher, Entry};
 // check: allow(hash-iter) export_entries sorts by key before serializing
 use std::collections::HashMap;
@@ -418,9 +419,7 @@ impl EvalCache {
                     .collect::<Vec<_>>()
             })
             .collect();
-        entries.sort_by(|(a, _), (b, _)| {
-            (&a.counts, a.kind as u8, a.context).cmp(&(&b.counts, b.kind as u8, b.context))
-        });
+        entries.sort_by(|(a, _), (b, _)| key_order(a, b));
         entries
     }
 
@@ -429,11 +428,25 @@ impl EvalCache {
     /// hit). Keys already present — finished or in flight — are left
     /// untouched. Returns the number of entries inserted.
     pub fn import(&self, entries: Vec<(CacheKey, Evaluation)>) -> usize {
+        self.import_into(entries, None)
+    }
+
+    /// [`EvalCache::import`] that also records every imported entry
+    /// (inserted or already present) in a run's working set.
+    pub(crate) fn import_into(
+        &self,
+        entries: Vec<(CacheKey, Evaluation)>,
+        mut working: Option<&mut WorkingSet>,
+    ) -> usize {
         let mut inserted = 0;
         for (key, eval) in entries {
+            let eval = Arc::new(eval);
+            if let Some(ws) = working.as_deref_mut() {
+                ws.entries.insert(key.clone(), eval.clone());
+            }
             let mut shard = self.shard(&key).write();
             if let Entry::Vacant(vacant) = shard.entry(key) {
-                vacant.insert(Slot::Ready(Arc::new(eval)));
+                vacant.insert(Slot::Ready(eval));
                 inserted += 1;
             }
         }
@@ -449,6 +462,81 @@ impl EvalCache {
             coalesced: self.inner.coalesced.load(Ordering::Relaxed),
             entries: self.len(),
         }
+    }
+}
+
+/// The one key order every cache export uses: per-column counts, then
+/// partial-product kind, then context fingerprint.
+fn key_order(a: &CacheKey, b: &CacheKey) -> KeyOrdering {
+    (&a.counts, a.kind as u8, a.context).cmp(&(&b.counts, b.kind as u8, b.context))
+}
+
+/// The cache entries one run has read or produced: its anchor
+/// evaluation, every hit (including waits on another worker's
+/// in-flight entry), every miss it synthesized, and every entry it
+/// imported on resume.
+///
+/// A run's checkpoint carries its working set rather than the whole
+/// cache, so on a cache shared across tenants the snapshot scales
+/// with the run instead of with everything the cache has accumulated.
+/// Replaying the run touches only these keys, so a resume that
+/// imports them still hits on every state seen before the checkpoint.
+/// On a private cache the working set *is* the cache, and its export
+/// equals [`EvalCache::export_entries`].
+#[derive(Debug, Clone, Default)]
+pub struct WorkingSet {
+    // check: allow(hash-iter) never iterated unsorted; see WorkingSet::union
+    entries: HashMap<CacheKey, Arc<Evaluation>>,
+}
+
+impl WorkingSet {
+    /// Records `key`. Probes with the borrowed view, so a key already
+    /// in the set costs no allocation; the owned key is materialized
+    /// on first touch only.
+    pub(crate) fn touch(&mut self, key: &dyn AsCacheKey, eval: &Arc<Evaluation>) {
+        if !self.entries.contains_key(key) {
+            self.entries.insert(key.to_key(), eval.clone());
+        }
+    }
+
+    /// Distinct keys in the set.
+    pub fn len(&self) -> usize {
+        self.entries.len()
+    }
+
+    /// Whether the set is empty.
+    pub fn is_empty(&self) -> bool {
+        self.entries.is_empty()
+    }
+
+    /// Clones the set's entries out for a checkpoint, sorted in
+    /// [`EvalCache::export_entries`] order.
+    pub fn export(&self) -> Vec<(CacheKey, Evaluation)> {
+        Self::export_union([self])
+    }
+
+    /// The distinct entries of several sets (a parallel run's
+    /// workers), sorted in [`EvalCache::export_entries`] order.
+    fn union<'a>(
+        sets: impl IntoIterator<Item = &'a WorkingSet>,
+    ) -> Vec<(&'a CacheKey, &'a Arc<Evaluation>)> {
+        let mut all: Vec<_> = sets.into_iter().flat_map(|s| s.entries.iter()).collect();
+        all.sort_by(|a, b| key_order(a.0, b.0));
+        all.dedup_by(|a, b| a.0 == b.0);
+        all
+    }
+
+    /// Number of distinct keys across `sets`.
+    pub fn union_len<'a>(sets: impl IntoIterator<Item = &'a WorkingSet>) -> usize {
+        Self::union(sets).len()
+    }
+
+    /// Clones the distinct entries of `sets` out for a checkpoint,
+    /// sorted in [`EvalCache::export_entries`] order.
+    pub fn export_union<'a>(
+        sets: impl IntoIterator<Item = &'a WorkingSet>,
+    ) -> Vec<(CacheKey, Evaluation)> {
+        Self::union(sets).into_iter().map(|(k, e)| (k.clone(), (**e).clone())).collect()
     }
 }
 

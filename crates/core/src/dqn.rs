@@ -126,7 +126,7 @@ pub(crate) struct Transition {
 /// Complete training state of a DQN run at a step boundary: agent
 /// weights (including batch-norm running statistics), optimizer
 /// moments, the replay buffer, the RNG stream, the environment's
-/// mutable state and every finished evaluation-cache entry.
+/// mutable state and the run's evaluation-cache working set.
 ///
 /// Opaque outside the crate: produced by checkpointing runs
 /// ([`train_dqn_with`] with a store), serialized through
@@ -154,6 +154,12 @@ impl DqnSnapshot {
     /// Best cost found up to the snapshot.
     pub fn best_cost(&self) -> f64 {
         self.env.best_cost()
+    }
+
+    /// The cache entries the snapshot carries (the run's working set,
+    /// in [`EvalCache::export_entries`] order).
+    pub fn cache_entries(&self) -> &[(CacheKey, Evaluation)] {
+        &self.cache
     }
 }
 
@@ -212,8 +218,8 @@ pub fn resume_dqn_cached(
     cache: EvalCache,
     hooks: &TrainHooks,
 ) -> Result<OptimizationOutcome, RlMulError> {
-    cache.import(std::mem::take(&mut snapshot.cache));
-    let mut env = MulEnv::with_cache(env_config.clone(), cache)?;
+    let entries = std::mem::take(&mut snapshot.cache);
+    let mut env = MulEnv::with_imported(env_config.clone(), cache, entries)?;
     train_dqn_with(&mut env, config, hooks, Some(snapshot))
 }
 
@@ -241,7 +247,7 @@ pub fn train_dqn_with(
     let mut opt = RmsProp::new(config.lr);
     let (mut rng, mut net, mut buffer, mut trajectory, mut state, start) = match resume {
         Some(mut snap) => {
-            env.cache().import(std::mem::take(&mut snap.cache));
+            env.import(std::mem::take(&mut snap.cache));
             env.restore(&snap.env)?;
             // The network is rebuilt from a throwaway RNG (shapes are
             // configuration-determined) and overwritten wholesale;
@@ -439,7 +445,7 @@ fn save_dqn_checkpoint(
         trajectory: trajectory.to_vec(),
         state: state.to_vec(),
         env: env.snapshot(),
-        cache: env.cache().export_entries(),
+        cache: env.working_set().export(),
     };
     store.save_latest(&snap)?;
     if periodic && hooks.keep_history {

@@ -1,7 +1,7 @@
 //! The RL-MUL environment: compressor-tree states, masked actions,
 //! and a synthesis-backed Pareto-driven reward (paper Fig. 3).
 
-use crate::cache::{context_fingerprint, CacheKeyRef, EvalCache, Lookup};
+use crate::cache::{context_fingerprint, CacheKey, CacheKeyRef, EvalCache, Lookup, WorkingSet};
 use crate::reward::CostWeights;
 use crate::surrogate::{state_fingerprint, Surrogate, SurrogateConfig, SurrogateSnapshot};
 use crate::RlMulError;
@@ -112,15 +112,16 @@ pub struct Evaluation {
 
 /// Evaluation-pipeline counters for one environment.
 ///
-/// `synth_runs`, `cache_hits`, `cache_misses`, and `sta` count work
-/// performed (or avoided) *by this environment*; `distinct_states`
-/// reads the shared cache, so environments sharing one [`EvalCache`]
-/// report the same value.
+/// Every field counts work performed (or avoided) *by this
+/// environment*: `distinct_states` is the size of its [`WorkingSet`],
+/// not of the possibly shared [`EvalCache`], so one tenant's figure
+/// never includes another's states.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct EnvStats {
     /// Environment steps taken.
     pub steps: usize,
-    /// Finished entries in the (possibly shared) evaluation cache.
+    /// Distinct cache entries this environment read or produced (its
+    /// working set; equal to the cache size on a private cache).
     pub distinct_states: usize,
     /// Synthesis runs this environment performed itself.
     pub synth_runs: usize,
@@ -177,6 +178,9 @@ pub struct MulEnv {
     stage_limit: usize,
     tensor_stages: usize,
     cache: EvalCache,
+    /// The cache entries this environment has read or produced — what
+    /// its checkpoints carry.
+    working: WorkingSet,
     /// Incremental miss-path state; `None` in [`PipelineMode::FullRebuild`].
     inc: Option<IncPipeline>,
     /// Context fingerprint for multi-target evaluations.
@@ -297,6 +301,24 @@ impl MulEnv {
     ///
     /// As [`MulEnv::new`].
     pub fn with_cache(config: EnvConfig, cache: EvalCache) -> Result<Self, RlMulError> {
+        Self::with_imported(config, cache, Vec::new())
+    }
+
+    /// [`MulEnv::with_cache`] for a resumed run: imports a snapshot's
+    /// cache entries first, so the anchor run and every state
+    /// evaluated before the checkpoint are hits, and seeds the
+    /// environment's working set with them.
+    ///
+    /// # Errors
+    ///
+    /// As [`MulEnv::new`].
+    pub fn with_imported(
+        config: EnvConfig,
+        cache: EvalCache,
+        entries: Vec<(CacheKey, Evaluation)>,
+    ) -> Result<Self, RlMulError> {
+        let mut working = WorkingSet::default();
+        cache.import_into(entries, Some(&mut working));
         let initial = match config.initial {
             InitialStructure::Wallace => CompressorTree::wallace(config.bits, config.kind)?,
             InitialStructure::Dadda => CompressorTree::dadda(config.bits, config.kind)?,
@@ -322,6 +344,7 @@ impl MulEnv {
             &initial,
             std::slice::from_ref(&anchor_opts),
             &mut counters,
+            &mut working,
             &TelemetrySink::disabled(),
             &TraceCtx::disabled(),
         )?
@@ -372,6 +395,7 @@ impl MulEnv {
             stage_limit,
             tensor_stages,
             cache,
+            working,
             eval_context,
             pareto_points: Vec::new(),
             best: (f64::INFINITY, CompressorTree::wallace(2, PpgKind::And)?),
@@ -410,9 +434,9 @@ impl MulEnv {
     }
 
     /// Captures the mutable state of this environment at a step
-    /// boundary. Together with the shared cache's
-    /// [`EvalCache::export_entries`] this is everything a resumed run
-    /// needs to continue bit-identically.
+    /// boundary. Together with the export of its
+    /// [`MulEnv::working_set`] this is everything a resumed run needs
+    /// to continue bit-identically.
     pub fn snapshot(&mut self) -> EnvSnapshot {
         EnvSnapshot {
             current: self.current.clone(),
@@ -653,6 +677,7 @@ impl MulEnv {
             tree,
             &options,
             &mut self.counters,
+            &mut self.working,
             &self.sink,
             &self.trace,
         )?;
@@ -1028,12 +1053,14 @@ impl MulEnv {
         tree: &CompressorTree,
         options: &[SynthesisOptions],
         counters: &mut PipelineCounters,
+        working: &mut WorkingSet,
         sink: &TelemetrySink,
         trace: &TraceCtx,
     ) -> Result<(Arc<Evaluation>, bool), RlMulError> {
         let key = CacheKeyRef { counts: tree.matrix().counts(), kind, context };
         match cache.lookup_or_begin(&key) {
             Lookup::Hit(eval) => {
+                working.touch(&key, &eval);
                 counters.cache_hits += 1;
                 if trace.is_enabled() {
                     trace.emit("cache_hit", &format!("context={context:016x}"));
@@ -1169,6 +1196,7 @@ impl MulEnv {
                 let cost = weights.cost(&reports);
                 let eval = Arc::new(Evaluation { reports, cost });
                 ticket.complete(eval.clone());
+                working.touch(&key, &eval);
                 Ok((eval, true))
             }
         }
@@ -1184,7 +1212,7 @@ impl MulEnv {
     pub fn stats(&self) -> EnvStats {
         EnvStats {
             steps: self.steps_taken,
-            distinct_states: self.cache.len(),
+            distinct_states: self.working.len(),
             synth_runs: self.counters.synth_runs,
             cache_hits: self.counters.cache_hits,
             cache_misses: self.counters.cache_misses,
@@ -1200,6 +1228,20 @@ impl MulEnv {
     /// into sibling environments to share synthesized states.
     pub fn cache(&self) -> &EvalCache {
         &self.cache
+    }
+
+    /// The cache entries this environment has read or produced.
+    pub fn working_set(&self) -> &WorkingSet {
+        &self.working
+    }
+
+    /// Imports a snapshot's cache entries into the cache after
+    /// construction and adds them to the working set. Prefer
+    /// [`MulEnv::with_imported`], which imports before the anchor run
+    /// so that it hits too. Returns the number of entries new to the
+    /// cache.
+    pub fn import(&mut self, entries: Vec<(CacheKey, Evaluation)>) -> usize {
+        self.cache.import_into(entries, Some(&mut self.working))
     }
 }
 

@@ -59,7 +59,7 @@ pub use a2c::{
 };
 pub use cache::{
     context_fingerprint, AsCacheKey, CacheKey, CacheKeyRef, CacheStats, EvalCache, EvalTicket,
-    Lookup,
+    Lookup, WorkingSet,
 };
 pub use dqn::{
     resume_dqn, resume_dqn_cached, train_dqn, train_dqn_with, DqnConfig, DqnSnapshot, QNetwork,

@@ -14,7 +14,7 @@ use rlmul_telemetry::Event;
 
 /// Complete state of a synthesis-backed SA run at a step boundary:
 /// the annealer's walk ([`SaParts`]), the RNG stream, the
-/// environment's mutable state and every finished cache entry.
+/// environment's mutable state and the run's cache working set.
 ///
 /// Opaque outside the crate: produced by checkpointing runs
 /// ([`run_sa_with`] with a store), serialized through
@@ -35,6 +35,12 @@ impl SaSnapshot {
     /// Best cost found up to the snapshot.
     pub fn best_cost(&self) -> f64 {
         self.parts.best_cost
+    }
+
+    /// The cache entries the snapshot carries (the run's working set,
+    /// in [`EvalCache::export_entries`] order).
+    pub fn cache_entries(&self) -> &[(CacheKey, Evaluation)] {
+        &self.cache
     }
 }
 
@@ -73,10 +79,10 @@ pub fn run_sa_cached(
 }
 
 /// Rebuilds the annealing run captured in `snapshot` and continues it
-/// to `sa_config.steps`. Cache entries are imported before the
-/// environment is constructed, so every previously synthesized state
-/// is a hit and the resumed walk is bit-identical to an uninterrupted
-/// one.
+/// to `sa_config.steps`. The snapshot's working set is imported before
+/// the environment is constructed, so every previously evaluated
+/// state is a hit and the resumed walk is bit-identical to an
+/// uninterrupted one.
 ///
 /// # Errors
 ///
@@ -104,13 +110,10 @@ pub fn run_sa_with(
     seed: u64,
     cache: EvalCache,
     hooks: &TrainHooks,
-    resume: Option<SaSnapshot>,
+    mut resume: Option<SaSnapshot>,
 ) -> Result<OptimizationOutcome, RlMulError> {
-    let resume = resume.map(|mut snap| {
-        cache.import(std::mem::take(&mut snap.cache));
-        snap
-    });
-    let mut env = MulEnv::with_cache(env_config.clone(), cache)?;
+    let imported = resume.as_mut().map(|snap| std::mem::take(&mut snap.cache));
+    let mut env = MulEnv::with_imported(env_config.clone(), cache, imported.unwrap_or_default())?;
     if hooks.telemetry.is_enabled() {
         env.set_telemetry(hooks.telemetry.clone());
     }
@@ -244,7 +247,7 @@ fn save_sa_checkpoint(
         rng: rng.state(),
         parts: run.to_parts(),
         env: env.snapshot(),
-        cache: env.cache().export_entries(),
+        cache: env.working_set().export(),
     };
     store.save_latest(&snap)?;
     if periodic && hooks.keep_history {

@@ -134,17 +134,20 @@ pub fn check_datapath(
             }
         }
         if cex.is_none() {
-            const RANDOM_BATCHES: usize = 4096; // ≈ 2^18 vectors
-            for _ in 0..RANDOM_BATCHES {
-                for _ in 0..64 {
-                    let a = rng.gen::<u64>() & mask;
-                    let b = rng.gen::<u64>() & mask;
-                    let c = if is_mac { rng.gen::<u128>() & cmask } else { 0 };
-                    pending.push((a, b, c));
-                }
-                if let Some(x) = check_batch(&mut pending, &mut vectors)? {
-                    cex = Some(x);
-                    break;
+            // The corner sweep may leave a partial batch pending, so
+            // flush on the lane count rather than per 64 randoms: a
+            // batch never exceeds the simulator's 64 lanes.
+            const RANDOM_VECTORS: usize = 4096 * 64; // ≈ 2^18 vectors
+            for _ in 0..RANDOM_VECTORS {
+                let a = rng.gen::<u64>() & mask;
+                let b = rng.gen::<u64>() & mask;
+                let c = if is_mac { rng.gen::<u128>() & cmask } else { 0 };
+                pending.push((a, b, c));
+                if pending.len() == 64 {
+                    if let Some(x) = check_batch(&mut pending, &mut vectors)? {
+                        cex = Some(x);
+                        break;
+                    }
                 }
             }
         }
@@ -236,6 +239,37 @@ mod tests {
         let reimported = from_verilog(&to_verilog(&quad)).unwrap();
         let r = check_datapath(&reimported, 6, PpgKind::And).unwrap();
         assert!(r.equivalent, "{:?}", r.counterexample);
+    }
+
+    /// Above [`EXHAUSTIVE_BITS`] the randomized path must keep every
+    /// batch within the simulator's 64 lanes: correct wide designs are
+    /// equivalent, not spurious mismatches.
+    #[test]
+    fn wide_wallace_multipliers_are_equivalent() {
+        for bits in [12, 16] {
+            check(bits, PpgKind::And, false);
+            check(bits, PpgKind::Mbe, false);
+        }
+    }
+
+    #[test]
+    fn wide_seeded_defects_are_caught() {
+        use rlmul_rtl::{mutate, GateKind};
+        for (bits, kind) in [(12, PpgKind::And), (16, PpgKind::Mbe)] {
+            let tree = CompressorTree::wallace(bits, kind).unwrap();
+            let good = MultiplierNetlist::elaborate(&tree).unwrap().into_netlist();
+            let fa = mutate::find_gate(&good, GateKind::FullAdder).expect("fa present");
+            let crossed = mutate::replace_gate_input(&good, fa, 0, good.inputs()[0].bits[0]);
+            let dropped = mutate::drop_carry_wire(&good).expect("multiplier has carries");
+            for bad in [crossed, dropped] {
+                let r = check_datapath(&bad, bits, kind).unwrap();
+                assert!(!r.exhaustive);
+                assert!(!r.equivalent, "{bits}-bit {kind}: seeded defect escaped");
+                let cex = r.counterexample.expect("mismatch carries a counterexample");
+                assert_eq!(cex.expected, golden(cex.a, cex.b, cex.c, bits));
+                assert_ne!(cex.got, cex.expected);
+            }
+        }
     }
 
     #[test]

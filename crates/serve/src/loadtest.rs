@@ -178,14 +178,8 @@ impl LoadReport {
 ///
 /// Transport failures, or a response without a parsable status line.
 pub fn http_call(addr: &str, method: &str, path: &str, body: &str) -> io::Result<(u16, String)> {
-    let mut stream = TcpStream::connect(addr)?;
-    stream.set_read_timeout(Some(Duration::from_secs(10)))?;
-    stream.set_write_timeout(Some(Duration::from_secs(10)))?;
-    write!(
-        stream,
-        "{method} {path} HTTP/1.1\r\nHost: loadtest\r\nContent-Length: {}\r\n\r\n{body}",
-        body.len()
-    )?;
+    let mut stream = connect(addr)?;
+    stream.write_all(request(method, path, "", body).as_bytes())?;
     let mut response = String::new();
     stream.read_to_string(&mut response)?;
     let code: u16 = response
@@ -236,10 +230,7 @@ impl HttpClient {
                 Err(_) => self.stream = None, // stale connection; retry fresh
             }
         }
-        let stream = TcpStream::connect(&self.addr)?;
-        stream.set_read_timeout(Some(Duration::from_secs(10)))?;
-        stream.set_write_timeout(Some(Duration::from_secs(10)))?;
-        self.stream = Some(stream);
+        self.stream = Some(connect(&self.addr)?);
         self.conns_opened += 1;
         self.exchange(method, path, body).inspect_err(|_| self.stream = None)
     }
@@ -251,12 +242,7 @@ impl HttpClient {
             .stream
             .as_mut()
             .ok_or_else(|| io::Error::new(io::ErrorKind::NotConnected, "no connection"))?;
-        write!(
-            stream,
-            "{method} {path} HTTP/1.1\r\nHost: loadtest\r\nConnection: keep-alive\r\n\
-             Content-Length: {}\r\n\r\n{body}",
-            body.len()
-        )?;
+        stream.write_all(request(method, path, "Connection: keep-alive\r\n", body).as_bytes())?;
         let (head, payload) = read_framed_response(stream)?;
         let code: u16 = head
             .strip_prefix("HTTP/1.1 ")
@@ -269,6 +255,27 @@ impl HttpClient {
         }
         Ok((code, payload))
     }
+}
+
+/// Opens a client connection with `TCP_NODELAY` set and 10 s I/O
+/// timeouts.
+fn connect(addr: &str) -> io::Result<TcpStream> {
+    let stream = TcpStream::connect(addr)?;
+    stream.set_nodelay(true)?;
+    stream.set_read_timeout(Some(Duration::from_secs(10)))?;
+    stream.set_write_timeout(Some(Duration::from_secs(10)))?;
+    Ok(stream)
+}
+
+/// Frames one request into a single buffer, so it leaves in one
+/// write: a request split over several small writes stalls on
+/// Nagle's algorithm against the peer's delayed ACK.
+fn request(method: &str, path: &str, headers: &str, body: &str) -> String {
+    format!(
+        "{method} {path} HTTP/1.1\r\nHost: loadtest\r\n{headers}\
+         Content-Length: {}\r\n\r\n{body}",
+        body.len()
+    )
 }
 
 /// Reads one response head plus its `Content-Length` body, leaving the

@@ -3,7 +3,7 @@
 //! two cancellation shapes, the HTTP error contract, and clean-
 //! restart recovery from the persisted job records.
 
-use rlmul_serve::loadtest::http_call;
+use rlmul_serve::loadtest::{http_call, HttpClient};
 use rlmul_serve::{JobState, ServeConfig, Server};
 use std::path::{Path, PathBuf};
 use std::time::{Duration, Instant};
@@ -252,4 +252,35 @@ fn terminal_states_are_immutable() {
             assert!(!terminal.can_transition(to, true));
         }
     }
+}
+
+/// Sequential keep-alive requests must not wait on delayed ACKs: each
+/// request leaves in one write on a `TCP_NODELAY` socket. A request
+/// split over several writes stalls every round trip by a delayed-ACK
+/// period (~40 ms on Linux loopback), so the median round trip — which
+/// a few scheduling hiccups under parallel tests cannot move — must stay
+/// well below it.
+#[test]
+fn keep_alive_client_does_not_stall() {
+    let dir = tmpdir("nodelay");
+    let (server, addr) = start(&dir, 1);
+    let mut client = HttpClient::new(&addr);
+    assert_eq!(client.call("GET", "/healthz", "").unwrap().0, 200);
+    let mut rtts: Vec<Duration> = (0..20)
+        .map(|_| {
+            let t0 = Instant::now();
+            let (code, _) = client.call("GET", "/healthz", "").unwrap();
+            assert_eq!(code, 200);
+            t0.elapsed()
+        })
+        .collect();
+    assert_eq!(client.conns_opened, 1, "keep-alive connection was not reused");
+    rtts.sort();
+    let median = rtts[rtts.len() / 2];
+    assert!(median < Duration::from_millis(10), "median keep-alive round trip {median:?}");
+    // Close the connection first so shutdown need not wait out the
+    // server's keep-alive read timeout.
+    drop(client);
+    drop(server);
+    let _ = std::fs::remove_dir_all(&dir);
 }
