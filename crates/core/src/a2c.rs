@@ -623,27 +623,18 @@ pub fn train_a2c_with(
             false,
         )?;
     }
+    let pipeline = PipelineStats::pooled(&envs, NnStats::snapshot().since(nn_before));
     if hooks.telemetry.is_enabled() {
-        let (hits, misses) = envs
-            .iter()
-            .map(|e| e.stats())
-            .fold((0, 0), |(h, m), s| (h + s.cache_hits, m + s.cache_misses));
-        hooks
-            .telemetry
-            .emit(Event::new("cache").with("hits", hits as u64).with("misses", misses as u64));
-        let nn = NnStats::snapshot().since(nn_before);
-        hooks.telemetry.emit(Event::new("nn").with("flops", nn.flops));
+        hooks.telemetry.emit(pipeline.cache_event());
+        hooks.telemetry.emit(Event::new("nn").with("flops", pipeline.nn.flops));
         emit_span_events(&hooks.telemetry, &obs.span_stats_since(&spans_before));
     }
 
-    // Pool results across workers. Work counters sum per-worker
-    // contributions; distinct states are the union of the workers'
-    // working sets.
+    // The best design across workers and the union of their points.
     let mut best_cost = f64::INFINITY;
     let mut best = envs[0].best().0.clone();
     let mut pareto_points = Vec::new();
     let mut synth_runs = 0;
-    let mut pipeline = PipelineStats::default();
     for env in &envs {
         let (tree, cost) = env.best();
         if cost < best_cost {
@@ -651,32 +642,21 @@ pub fn train_a2c_with(
             best = tree.clone();
         }
         pareto_points.extend_from_slice(env.pareto_points());
-        let s = env.stats();
-        synth_runs += s.synth_runs;
-        pipeline.cache_hits += s.cache_hits;
-        pipeline.cache_misses += s.cache_misses;
-        pipeline.sta.merge(s.sta);
-        pipeline.lint.merge(s.lint);
-        pipeline.synthesis_calls += s.synthesis_calls;
-        pipeline.surrogate_screened += s.surrogate_screened;
-        pipeline.surrogate_forced_evals += s.surrogate_forced_evals;
+        synth_runs += env.stats().synth_runs;
     }
-    let states_visited = WorkingSet::union_len(envs.iter().map(MulEnv::working_set));
-    pipeline.cache_entries = states_visited;
-    pipeline.nn = NnStats::snapshot().since(nn_before);
     Ok(OptimizationOutcome {
         best,
         best_cost,
         trajectory,
         pareto_points,
-        states_visited,
+        states_visited: pipeline.cache_entries,
         synth_runs,
         pipeline,
     })
 }
 
-/// Rolls `latest.ckpt` (and `best.ckpt` when the run improved) with
-/// the full synchronized training state at a step boundary.
+/// Rolls the full synchronized training state at a step boundary
+/// into the checkpoint store ([`TrainHooks::roll_checkpoint`]).
 #[allow(clippy::too_many_arguments)]
 fn save_a2c_checkpoint(
     step: usize,
@@ -692,7 +672,6 @@ fn save_a2c_checkpoint(
     best_saved: &mut f64,
     periodic: bool,
 ) -> Result<(), RlMulError> {
-    let Some(store) = &hooks.store else { return Ok(()) };
     let (adam_t, adam_m, adam_v) = opt.state();
     let snap = A2cSnapshot {
         step,
@@ -708,21 +687,7 @@ fn save_a2c_checkpoint(
         envs: env_snaps,
         cache,
     };
-    store.save_latest(&snap)?;
-    if periodic && hooks.keep_history {
-        store.save_step(step, &snap)?;
-    }
-    let best_cost = snap.best_cost();
-    if best_cost < *best_saved {
-        store.save_best(&snap)?;
-        *best_saved = best_cost;
-    }
-    hooks.telemetry.emit(
-        Event::new("checkpoint")
-            .with("step", step as u64)
-            .with("path", store.latest_path().display().to_string()),
-    );
-    Ok(())
+    hooks.roll_checkpoint(step, &snap, snap.best_cost(), best_saved, periodic)
 }
 
 fn sample_from<R: Rng + ?Sized>(probs: &[f32], rng: &mut R) -> usize {

@@ -384,43 +384,28 @@ pub fn train_dqn_with(
             false,
         )?;
     }
+    let pipeline =
+        PipelineStats::pooled(std::slice::from_ref(env), NnStats::snapshot().since(nn_before));
     if hooks.telemetry.is_enabled() {
-        let s = env.stats();
-        hooks.telemetry.emit(
-            Event::new("cache")
-                .with("hits", s.cache_hits as u64)
-                .with("misses", s.cache_misses as u64),
-        );
-        let nn = NnStats::snapshot().since(nn_before);
-        hooks.telemetry.emit(Event::new("nn").with("flops", nn.flops));
+        hooks.telemetry.emit(pipeline.cache_event());
+        hooks.telemetry.emit(Event::new("nn").with("flops", pipeline.nn.flops));
         emit_span_events(&hooks.telemetry, &obs.span_stats_since(&spans_before));
     }
 
     let (best, best_cost) = env.best();
-    let stats = env.stats();
     Ok(OptimizationOutcome {
         best: best.clone(),
         best_cost,
         trajectory,
         pareto_points: env.pareto_points().to_vec(),
-        states_visited: stats.distinct_states,
-        synth_runs: stats.synth_runs,
-        pipeline: PipelineStats {
-            cache_hits: stats.cache_hits,
-            cache_misses: stats.cache_misses,
-            cache_entries: stats.distinct_states,
-            sta: stats.sta,
-            nn: NnStats::snapshot().since(nn_before),
-            lint: stats.lint,
-            synthesis_calls: stats.synthesis_calls,
-            surrogate_screened: stats.surrogate_screened,
-            surrogate_forced_evals: stats.surrogate_forced_evals,
-        },
+        states_visited: pipeline.cache_entries,
+        synth_runs: env.stats().synth_runs,
+        pipeline,
     })
 }
 
-/// Rolls `latest.ckpt` (and `best.ckpt` when the run improved) with
-/// the full training state at a step boundary.
+/// Rolls the full training state at a step boundary into the
+/// checkpoint store ([`TrainHooks::roll_checkpoint`]).
 #[allow(clippy::too_many_arguments)]
 fn save_dqn_checkpoint(
     step: usize,
@@ -435,7 +420,6 @@ fn save_dqn_checkpoint(
     best_saved: &mut f64,
     periodic: bool,
 ) -> Result<(), RlMulError> {
-    let Some(store) = &hooks.store else { return Ok(()) };
     let snap = DqnSnapshot {
         step,
         rng: rng.state(),
@@ -447,21 +431,7 @@ fn save_dqn_checkpoint(
         env: env.snapshot(),
         cache: env.working_set().export(),
     };
-    store.save_latest(&snap)?;
-    if periodic && hooks.keep_history {
-        store.save_step(step, &snap)?;
-    }
-    let best_cost = env.best().1;
-    if best_cost < *best_saved {
-        store.save_best(&snap)?;
-        *best_saved = best_cost;
-    }
-    hooks.telemetry.emit(
-        Event::new("checkpoint")
-            .with("step", step as u64)
-            .with("path", store.latest_path().display().to_string()),
-    );
-    Ok(())
+    hooks.roll_checkpoint(step, &snap, env.best().1, best_saved, periodic)
 }
 
 fn random_legal<R: Rng + ?Sized>(mask: &[bool], rng: &mut R) -> usize {

@@ -37,21 +37,43 @@ pub enum StagePruning {
     Off,
 }
 
-/// How the evaluation pipeline turns a compressor-tree state into
-/// synthesis reports on a cache miss.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum PipelineMode {
-    /// Re-elaborate only the columns an action touched
-    /// ([`IncrementalMultiplier`]), lint just the delta, and patch the
-    /// mapped-netlist connectivity plus the STA baseline downstream
-    /// ([`IncrementalSynthesis`]). Produces bit-identical PPA numbers
-    /// to a full rebuild (debug builds assert this on every miss) in
-    /// time proportional to the edit.
-    #[default]
-    Incremental,
-    /// Elaborate, lint, map, and size from scratch on every miss —
-    /// the reference oracle the incremental path is checked against.
-    FullRebuild,
+/// How [`MulEnv::evaluate_screened`] may answer a state from the
+/// online surrogate instead of real synthesis. Chosen by the search
+/// driver, not configured: step agents screen by rank, the annealer
+/// by cost margin.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum Screen {
+    /// Step agents (DQN, A2C): `action` is the flattened index that
+    /// produced the state. All legal successors of the current state
+    /// are scored in one batched forward, and the chosen one is
+    /// screened unless it ranks inside the predicted top-k.
+    TopK {
+        /// Flattened index of the chosen action.
+        action: usize,
+    },
+    /// Single-proposal search (SA, where top-k ranking degenerates):
+    /// the proposal is screened when its predicted cost is outside
+    /// `sa_margin` of the best real cost (predicted-unpromising), or
+    /// when the predicted uphill delta from `current_cost` makes
+    /// acceptance at `temperature` less likely than `sa_accept_floor`
+    /// (a rejection the walk reaches under real and predicted costs
+    /// alike).
+    Anneal {
+        /// Cost of the walk's current state.
+        current_cost: f64,
+        /// Current annealing temperature.
+        temperature: f64,
+    },
+}
+
+impl Screen {
+    /// The gate name carried by the surrogate trace events.
+    fn gate(self) -> &'static str {
+        match self {
+            Screen::TopK { .. } => "topk",
+            Screen::Anneal { .. } => "sa",
+        }
+    }
 }
 
 /// Environment configuration.
@@ -75,8 +97,6 @@ pub struct EnvConfig {
     pub initial: InitialStructure,
     /// Sizing move budget per synthesis run.
     pub max_upsizes: usize,
-    /// Miss-path evaluation pipeline (incremental by default).
-    pub pipeline: PipelineMode,
     /// Online surrogate evaluator (disabled by default; the disabled
     /// path is bit-identical to an environment without one).
     pub surrogate: SurrogateConfig,
@@ -94,7 +114,6 @@ impl EnvConfig {
             tensor_stages: 0,
             initial: InitialStructure::default(),
             max_upsizes: 800,
-            pipeline: PipelineMode::default(),
             surrogate: SurrogateConfig::default(),
         }
     }
@@ -171,7 +190,6 @@ pub struct StepOutcome {
 pub struct MulEnv {
     config: EnvConfig,
     synthesizer: Synthesizer,
-    initial: CompressorTree,
     current: CompressorTree,
     current_cost: f64,
     delay_targets: Vec<f64>,
@@ -181,14 +199,17 @@ pub struct MulEnv {
     /// The cache entries this environment has read or produced — what
     /// its checkpoints carry.
     working: WorkingSet,
-    /// Incremental miss-path state; `None` in [`PipelineMode::FullRebuild`].
+    /// Incremental miss-path state; `None` only during the anchor run,
+    /// whose misses elaborate, lint and size from scratch.
     inc: Option<IncPipeline>,
     /// Context fingerprint for multi-target evaluations.
     eval_context: u64,
     pareto_points: Vec<(f64, f64)>,
     best: (f64, CompressorTree),
     steps_taken: usize,
-    counters: PipelineCounters,
+    /// Work counters; `steps` and `distinct_states` are filled in by
+    /// [`MulEnv::stats`].
+    stats: EnvStats,
     sink: TelemetrySink,
     /// Per-job trace context for cache/surrogate/synthesis events;
     /// disabled (one branch per emit) unless a supervisor installs one
@@ -244,20 +265,6 @@ impl EnvSnapshot {
     pub fn best_cost(&self) -> f64 {
         self.best_cost
     }
-}
-
-/// Per-environment work counters (the shared cache keeps its own
-/// global ones).
-#[derive(Debug, Clone, Copy, Default)]
-struct PipelineCounters {
-    synth_runs: usize,
-    cache_hits: usize,
-    cache_misses: usize,
-    sta: StaStats,
-    lint: LintStats,
-    synthesis_calls: usize,
-    surrogate_screened: usize,
-    surrogate_forced_evals: usize,
 }
 
 /// Long-lived state of the incremental miss path: the cached
@@ -323,94 +330,76 @@ impl MulEnv {
             InitialStructure::Wallace => CompressorTree::wallace(config.bits, config.kind)?,
             InitialStructure::Dadda => CompressorTree::dadda(config.bits, config.kind)?,
         };
-        let synthesizer = Synthesizer::nangate45();
-        let mut counters = PipelineCounters::default();
+        let weights = [config.weights.area, config.weights.delay, config.weights.power];
+        // The anchor run below goes through the environment's own cache
+        // path, so the environment starts without the delay targets and
+        // surrogate derived from it, and without incremental state: the
+        // anchor's miss elaborates and sizes from scratch.
+        let mut env = MulEnv {
+            config,
+            synthesizer: Synthesizer::nangate45(),
+            current: initial.clone(),
+            current_cost: 0.0,
+            delay_targets: Vec::new(),
+            stage_limit: 0,
+            tensor_stages: 0,
+            cache,
+            working,
+            inc: None,
+            eval_context: 0,
+            pareto_points: Vec::new(),
+            best: (f64::INFINITY, initial.clone()),
+            steps_taken: 0,
+            stats: EnvStats::default(),
+            sink: TelemetrySink::disabled(),
+            trace: TraceCtx::disabled(),
+            surrogate: None,
+            scratch_mask: Vec::new(),
+            scratch_dense: Vec::new(),
+            watch: Vec::new(),
+        };
         // Min-area synthesis of s_0 anchors the delay constraints,
         // routed through the shared cache (empty target list as the
         // context) so sibling environments reuse one anchor run.
         let anchor_opts = SynthesisOptions::default();
-        let anchor_context = context_fingerprint(
-            &[],
-            anchor_opts.max_upsizes,
-            [config.weights.area, config.weights.delay, config.weights.power],
-        );
-        let anchor_eval = Self::evaluate_cached(
-            &cache,
-            &synthesizer,
-            None,
-            &config.weights,
-            config.kind,
-            anchor_context,
-            &initial,
-            std::slice::from_ref(&anchor_opts),
-            &mut counters,
-            &mut working,
-            &TelemetrySink::disabled(),
-            &TraceCtx::disabled(),
-        )?
-        .0;
-        let anchor_delay = anchor_eval.reports[0].delay_ns;
-        let delay_targets = if config.delay_targets.is_empty() {
+        let anchor_context = context_fingerprint(&[], anchor_opts.max_upsizes, weights);
+        let (anchor, _) =
+            env.synthesize_cached(anchor_context, &initial, std::slice::from_ref(&anchor_opts))?;
+        let config = &env.config;
+        env.delay_targets = if config.delay_targets.is_empty() {
+            let anchor_delay = anchor.reports[0].delay_ns;
             [0.7, 0.85, 1.0, 1.15].iter().map(|m| m * anchor_delay).collect()
         } else {
             config.delay_targets.clone()
         };
         let initial_stages = initial.stage_count()?;
-        let stage_limit = match config.pruning {
+        env.stage_limit = match config.pruning {
             StagePruning::Auto => initial_stages + 1,
             StagePruning::Limit(l) => l,
             StagePruning::Off => usize::MAX,
         };
-        let tensor_stages = if config.tensor_stages == 0 {
+        env.tensor_stages = if config.tensor_stages == 0 {
             (initial_stages + 2).next_power_of_two().max(8)
         } else {
             config.tensor_stages
         };
-        let eval_context = context_fingerprint(
-            &delay_targets,
-            config.max_upsizes,
-            [config.weights.area, config.weights.delay, config.weights.power],
-        );
-        let inc = match config.pipeline {
-            PipelineMode::Incremental => Some(IncPipeline {
-                mul: IncrementalMultiplier::new(&initial)?,
-                synth: IncrementalSynthesis::nangate45(),
-            }),
-            PipelineMode::FullRebuild => None,
-        };
-        let surrogate = if config.surrogate.enabled {
-            let volume = 2 * 2 * config.bits * tensor_stages;
-            Some(Surrogate::new(config.surrogate.clone(), volume, &delay_targets, config.weights))
-        } else {
-            None
-        };
-        let mut env = MulEnv {
-            config,
-            synthesizer,
-            current: initial.clone(),
-            initial,
-            inc,
-            current_cost: 0.0,
-            delay_targets,
-            stage_limit,
-            tensor_stages,
-            cache,
-            working,
-            eval_context,
-            pareto_points: Vec::new(),
-            best: (f64::INFINITY, CompressorTree::wallace(2, PpgKind::And)?),
-            steps_taken: 0,
-            counters,
-            sink: TelemetrySink::disabled(),
-            trace: TraceCtx::disabled(),
-            surrogate,
-            scratch_mask: Vec::new(),
-            scratch_dense: Vec::new(),
-            watch: Vec::new(),
-        };
-        let eval = env.evaluate(&env.current.clone())?;
-        env.current_cost = eval.cost;
-        env.best = (eval.cost, env.current.clone());
+        env.eval_context = context_fingerprint(&env.delay_targets, config.max_upsizes, weights);
+        if config.surrogate.enabled {
+            let volume = 2 * 2 * config.bits * env.tensor_stages;
+            env.surrogate = Some(Surrogate::new(
+                config.surrogate.clone(),
+                volume,
+                &env.delay_targets,
+                config.weights,
+            ));
+        }
+        env.inc = Some(IncPipeline {
+            mul: IncrementalMultiplier::new(&initial)?,
+            synth: IncrementalSynthesis::nangate45(),
+        });
+        let cost = env.evaluate(&initial)?.cost;
+        env.current_cost = cost;
+        env.best.0 = cost;
         Ok(env)
     }
 
@@ -604,18 +593,6 @@ impl MulEnv {
         }
     }
 
-    /// Resets to the initial structure, keeping the evaluation cache
-    /// and Pareto archive.
-    pub fn reset(&mut self) {
-        self.current = self.initial.clone();
-        let key = CacheKeyRef {
-            counts: self.initial.matrix().counts(),
-            kind: self.config.kind,
-            context: self.eval_context,
-        };
-        self.current_cost = self.cache.peek(&key).map(|e| e.cost).unwrap_or(self.current_cost);
-    }
-
     /// Applies the flattened action index, legalizes, synthesizes the
     /// successor and returns the reward.
     ///
@@ -629,11 +606,8 @@ impl MulEnv {
         let ncols = self.current.matrix().num_columns();
         let action = Action::from_flat_index(action_index, ncols)?;
         let next = self.current.apply_action(action)?;
-        let (evaluation, screened) = if self.surrogate.is_some() {
-            self.evaluate_step_gated(action_index, &next)?
-        } else {
-            (self.evaluate(&next)?, false)
-        };
+        let (evaluation, screened) =
+            self.evaluate_screened(&next, Screen::TopK { action: action_index })?;
         let reward = self.current_cost - evaluation.cost;
         obs.counter("rlmul_env_steps_total", "Environment steps taken across all envs.").inc();
         obs.histogram("rlmul_env_step_reward_magnitude", "Absolute step reward (cost delta).")
@@ -667,20 +641,7 @@ impl MulEnv {
                 max_upsizes: self.config.max_upsizes,
             })
             .collect();
-        let (eval, fresh) = Self::evaluate_cached(
-            &self.cache,
-            &self.synthesizer,
-            self.inc.as_mut(),
-            &self.config.weights,
-            self.config.kind,
-            self.eval_context,
-            tree,
-            &options,
-            &mut self.counters,
-            &mut self.working,
-            &self.sink,
-            &self.trace,
-        )?;
+        let (eval, fresh) = self.synthesize_cached(self.eval_context, tree, &options)?;
         if fresh {
             for r in &eval.reports {
                 self.pareto_points.push((r.area_um2, r.delay_ns));
@@ -733,42 +694,88 @@ impl MulEnv {
         self.surrogate = Some(s);
     }
 
-    /// Top-k screening gate for step agents (DQN and A2C route every
-    /// step through here when the surrogate is enabled). Scores all
-    /// legal successors with one batched MLP forward and sends the
-    /// chosen one to real synthesis only when it is cached (free),
-    /// the model is cold, a forced full evaluation is due, or it
-    /// ranks inside the predicted top-k. Returns the evaluation and
-    /// whether it was screened (served from the surrogate).
-    fn evaluate_step_gated(
+    /// [`MulEnv::evaluate`] behind the surrogate's `screen` policy.
+    /// The state goes to real synthesis when it is cached (free), the
+    /// model is cold, or a forced honesty evaluation is due; otherwise
+    /// the policy's prediction answers it, unless the front guard
+    /// finds it might extend the Pareto front. Returns the evaluation
+    /// and whether it was screened (a prediction, never cached). With
+    /// the surrogate disabled this is exactly [`MulEnv::evaluate`].
+    ///
+    /// # Errors
+    ///
+    /// Propagates elaboration and synthesis errors.
+    pub fn evaluate_screened(
         &mut self,
-        action_index: usize,
-        next: &CompressorTree,
+        tree: &CompressorTree,
+        screen: Screen,
     ) -> Result<(Arc<Evaluation>, bool), RlMulError> {
+        let Some(s) = self.surrogate.as_ref() else {
+            return Ok((self.evaluate(tree)?, false));
+        };
         let key = CacheKeyRef {
-            counts: next.matrix().counts(),
+            counts: tree.matrix().counts(),
             kind: self.config.kind,
             context: self.eval_context,
         };
-        let cached = self.cache.peek(&key).is_some();
-        let (warmed, forced, topk) = {
-            let s = self.surrogate.as_ref().expect("gated path requires a surrogate");
-            (s.is_warmed(), s.forced_due(), s.config().topk)
-        };
-        if cached || !warmed {
-            return Ok((self.evaluate(next)?, false));
+        if self.cache.peek(&key).is_some() || !s.is_warmed() {
+            return Ok((self.evaluate(tree)?, false));
         }
-        if forced {
-            self.counters.surrogate_forced_evals += 1;
+        if s.forced_due() {
+            self.stats.surrogate_forced_evals += 1;
             if self.trace.is_enabled() {
-                self.trace.emit("surrogate_forced", "gate=topk honesty eval due");
+                let detail = format!("gate={} honesty eval due", screen.gate());
+                self.trace.emit("surrogate_forced", &detail);
             }
             if let Some(s) = self.surrogate.as_mut() {
                 s.note_forced();
             }
-            return Ok((self.evaluate(next)?, false));
+            return Ok((self.evaluate(tree)?, false));
         }
         let mut s = self.surrogate.take().expect("checked above");
+        let predicted = match screen {
+            Screen::TopK { action } => self.predict_topk(&mut s, action, tree),
+            Screen::Anneal { current_cost, temperature } => {
+                self.predict_anneal(&mut s, tree, current_cost, temperature)
+            }
+        };
+        // Front guard: a state predicted to extend the Pareto front is
+        // worth a real synthesis even if the policy would screen it —
+        // screening it would silently cap the run's hypervolume.
+        // Near-misses go on the verification watchlist.
+        let screened = predicted.filter(|eval| {
+            let score = self.front_nearness(eval);
+            let guarded = score <= s.config().guard_slack;
+            if guarded {
+                self.watch_screened(score, eval, tree, s.config().verify_top);
+            }
+            guarded
+        });
+        if screened.is_some() {
+            s.note_screened();
+            self.stats.surrogate_screened += 1;
+            if self.trace.is_enabled() {
+                self.trace.emit("surrogate_screened", &format!("gate={}", screen.gate()));
+            }
+        }
+        self.surrogate = Some(s);
+        match screened {
+            Some(eval) => Ok((Arc::new(eval), true)),
+            None => Ok((self.evaluate(tree)?, false)),
+        }
+    }
+
+    /// The [`Screen::TopK`] prediction: scores every legal successor
+    /// of the current state in one batched forward and returns the
+    /// predicted evaluation of `next` (reached by `action_index`) when
+    /// it ranks outside the top-k, `None` when it should be
+    /// synthesized.
+    fn predict_topk(
+        &mut self,
+        s: &mut Surrogate,
+        action_index: usize,
+        next: &CompressorTree,
+    ) -> Option<Evaluation> {
         let mut mask = std::mem::take(&mut self.scratch_mask);
         let mut dense = std::mem::take(&mut self.scratch_dense);
         let mut flat = s.take_flat();
@@ -778,7 +785,6 @@ impl MulEnv {
         let volume = 2 * 2 * self.config.bits * self.tensor_stages;
         let mut chosen_pos: Option<usize> = None;
         let mut n_cands = 0usize;
-        let mut chosen_encode_failed = false;
         for (idx, &ok) in mask.iter().enumerate() {
             let is_chosen = idx == action_index;
             if !ok && !is_chosen {
@@ -797,7 +803,6 @@ impl MulEnv {
             };
             if !encoded {
                 if is_chosen {
-                    chosen_encode_failed = true;
                     break;
                 }
                 continue;
@@ -808,134 +813,53 @@ impl MulEnv {
             flat.extend_from_slice(&dense);
             n_cands += 1;
         }
-        let mut screened_eval = None;
-        if !chosen_encode_failed {
-            if let Some(pos) = chosen_pos {
-                let costs = s.predict_costs(&flat, n_cands);
-                let chosen_cost = costs[pos];
-                // Stable rank: strictly better candidates, plus equal
-                // candidates at an earlier index.
-                let rank = costs
-                    .iter()
-                    .enumerate()
-                    .filter(|&(i, &c)| c < chosen_cost || (c == chosen_cost && i < pos))
-                    .count();
-                if rank >= topk {
-                    let x = &flat[pos * volume..(pos + 1) * volume];
-                    let eval = s.predict_evaluation(x);
-                    // Front guard: a state predicted to extend the
-                    // Pareto front is worth a real synthesis even if
-                    // its scalar cost ranks poorly — screening it
-                    // would silently cap the run's hypervolume.
-                    // Near-misses go on the verification watchlist.
-                    let score = self.front_nearness(&eval);
-                    let (slack, vtop) = (s.config().guard_slack, s.config().verify_top);
-                    if score <= slack {
-                        self.watch_screened(score, &eval, next, vtop);
-                        screened_eval = Some(eval);
-                    }
-                }
+        let mut predicted = None;
+        if let Some(pos) = chosen_pos {
+            let costs = s.predict_costs(&flat, n_cands);
+            let chosen_cost = costs[pos];
+            // Stable rank: strictly better candidates, plus equal
+            // candidates at an earlier index.
+            let rank = costs
+                .iter()
+                .enumerate()
+                .filter(|&(i, &c)| c < chosen_cost || (c == chosen_cost && i < pos))
+                .count();
+            if rank >= s.config().topk {
+                predicted = Some(s.predict_evaluation(&flat[pos * volume..(pos + 1) * volume]));
             }
         }
         s.put_flat(flat);
         self.scratch_mask = mask;
         self.scratch_dense = dense;
-        if let Some(eval) = screened_eval {
-            s.note_screened();
-            self.counters.surrogate_screened += 1;
-            if self.trace.is_enabled() {
-                self.trace.emit("surrogate_screened", "gate=topk");
-            }
-            self.surrogate = Some(s);
-            return Ok((Arc::new(eval), true));
-        }
-        self.surrogate = Some(s);
-        Ok((self.evaluate(next)?, false))
+        predicted
     }
 
-    /// Threshold screening gate for single-proposal searches (SA
-    /// proposes one random neighbor per step, so top-k ranking
-    /// degenerates): the proposal goes to real synthesis when it is
-    /// cached, the model is cold, or a forced full evaluation is due.
-    /// Otherwise the surrogate answers when either criterion holds —
-    /// the predicted cost is outside `sa_margin` of the best real
-    /// cost (predicted-unpromising), or the predicted uphill delta
-    /// from `current_cost` makes acceptance at `temperature` less
-    /// likely than `sa_accept_floor` (a rejection the walk reaches
-    /// under real and predicted costs alike). With the surrogate
-    /// disabled this is exactly [`MulEnv::evaluate`].
-    ///
-    /// # Errors
-    ///
-    /// Propagates elaboration and synthesis errors.
-    pub fn evaluate_gated(
+    /// The [`Screen::Anneal`] prediction: the predicted evaluation of
+    /// `tree` when its predicted cost is unpromising or certain to be
+    /// rejected at `temperature`, `None` when it should be
+    /// synthesized.
+    fn predict_anneal(
         &mut self,
+        s: &mut Surrogate,
         tree: &CompressorTree,
         current_cost: f64,
         temperature: f64,
-    ) -> Result<Arc<Evaluation>, RlMulError> {
-        let Some(sref) = self.surrogate.as_ref() else {
-            return self.evaluate(tree);
-        };
-        let key = CacheKeyRef {
-            counts: tree.matrix().counts(),
-            kind: self.config.kind,
-            context: self.eval_context,
-        };
-        let cached = self.cache.peek(&key).is_some();
-        let (warmed, forced, margin, floor) = (
-            sref.is_warmed(),
-            sref.forced_due(),
-            sref.config().sa_margin,
-            sref.config().sa_accept_floor,
-        );
-        if cached || !warmed {
-            return self.evaluate(tree);
-        }
-        if forced {
-            self.counters.surrogate_forced_evals += 1;
-            if self.trace.is_enabled() {
-                self.trace.emit("surrogate_forced", "gate=sa honesty eval due");
-            }
-            if let Some(s) = self.surrogate.as_mut() {
-                s.note_forced();
-            }
-            return self.evaluate(tree);
-        }
-        let mut s = self.surrogate.take().expect("checked above");
+    ) -> Option<Evaluation> {
         let mut dense = std::mem::take(&mut self.scratch_dense);
-        let mut screened_eval = None;
+        let mut predicted = None;
         if self.fill_encoding(tree, &mut dense).is_ok() {
+            let (margin, floor) = (s.config().sa_margin, s.config().sa_accept_floor);
             let cost = s.predict_costs(&dense, 1)[0];
             let unpromising = cost > s.best_real_cost() * (1.0 + margin);
             // exp(-delta / T) < floor  <=>  delta > T * ln(1/floor).
             let certain_reject =
                 cost - current_cost > temperature * (1.0 / floor.clamp(1e-12, 1.0)).ln();
             if unpromising || certain_reject {
-                let eval = s.predict_evaluation(&dense);
-                // Front guard, as in the top-k path: predicted
-                // front-extending states always get a real run, and
-                // near-misses go on the verification watchlist.
-                let score = self.front_nearness(&eval);
-                let (slack, vtop) = (s.config().guard_slack, s.config().verify_top);
-                if score <= slack {
-                    self.watch_screened(score, &eval, tree, vtop);
-                    screened_eval = Some(eval);
-                }
+                predicted = Some(s.predict_evaluation(&dense));
             }
         }
         self.scratch_dense = dense;
-        if let Some(eval) = screened_eval {
-            s.note_screened();
-            self.counters.surrogate_screened += 1;
-            if self.trace.is_enabled() {
-                self.trace.emit("surrogate_screened", "gate=sa");
-            }
-            self.surrogate = Some(s);
-            return Ok(Arc::new(eval));
-        }
-        self.surrogate = Some(s);
-        self.evaluate(tree)
+        predicted
     }
 
     /// How close `eval`'s predicted per-constraint `(area, delay)`
@@ -1029,54 +953,45 @@ impl MulEnv {
         Ok(verified)
     }
 
-    /// Cache-mediated synthesis shared by [`MulEnv::evaluate`] and
-    /// the anchor run in [`MulEnv::with_cache`]. Returns the
-    /// evaluation and whether this caller synthesized it (`false` for
-    /// cache hits, including waits on another worker's in-flight
-    /// run).
+    /// Cache-mediated synthesis of `tree` under `options`, shared by
+    /// [`MulEnv::evaluate`] and the anchor run in
+    /// [`MulEnv::with_cache`]. Returns the evaluation and whether this
+    /// environment synthesized it (`false` for cache hits, including
+    /// waits on another worker's in-flight run).
     ///
-    /// When `inc` is provided (and the tree has the profile the
-    /// incremental state was built for), the miss path re-elaborates
-    /// only the changed columns, lints only the delta, and patches the
-    /// previous mapped connectivity and STA baseline instead of
-    /// rebuilding them; otherwise every miss runs the full pipeline.
-    /// The cache lookup itself probes with a borrowed key, so hits
-    /// never allocate.
-    #[allow(clippy::too_many_arguments)]
-    fn evaluate_cached(
-        cache: &EvalCache,
-        synthesizer: &Synthesizer,
-        inc: Option<&mut IncPipeline>,
-        weights: &CostWeights,
-        kind: PpgKind,
+    /// Once the incremental pipeline exists (and the tree has the
+    /// profile it was built for), the miss path re-elaborates only the
+    /// changed columns, lints only the delta, and patches the previous
+    /// mapped connectivity and STA baseline instead of rebuilding
+    /// them; otherwise the miss runs the full pipeline. The cache
+    /// lookup itself probes with a borrowed key, so hits never
+    /// allocate.
+    fn synthesize_cached(
+        &mut self,
         context: u64,
         tree: &CompressorTree,
         options: &[SynthesisOptions],
-        counters: &mut PipelineCounters,
-        working: &mut WorkingSet,
-        sink: &TelemetrySink,
-        trace: &TraceCtx,
     ) -> Result<(Arc<Evaluation>, bool), RlMulError> {
-        let key = CacheKeyRef { counts: tree.matrix().counts(), kind, context };
-        match cache.lookup_or_begin(&key) {
+        let key = CacheKeyRef { counts: tree.matrix().counts(), kind: self.config.kind, context };
+        match self.cache.lookup_or_begin(&key) {
             Lookup::Hit(eval) => {
-                working.touch(&key, &eval);
-                counters.cache_hits += 1;
-                if trace.is_enabled() {
-                    trace.emit("cache_hit", &format!("context={context:016x}"));
+                self.working.touch(&key, &eval);
+                self.stats.cache_hits += 1;
+                if self.trace.is_enabled() {
+                    self.trace.emit("cache_hit", &format!("context={context:016x}"));
                 }
                 Ok((eval, false))
             }
             Lookup::Miss(ticket) => {
-                counters.cache_misses += 1;
-                if trace.is_enabled() {
-                    trace.emit("cache_miss", &format!("context={context:016x}"));
+                self.stats.cache_misses += 1;
+                if self.trace.is_enabled() {
+                    self.trace.emit("cache_miss", &format!("context={context:016x}"));
                 }
                 let obs = rlmul_obs::global();
                 let _eval_span = obs.span("env.evaluate");
                 // On error the ticket drops un-completed, releasing
                 // any coalesced waiters to retry for themselves.
-                let inc = inc.filter(|s| s.mul.tree().profile() == tree.profile());
+                let inc = self.inc.as_mut().filter(|s| s.mul.tree().profile() == tree.profile());
                 let mode = if inc.is_some() { "incremental" } else { "full" };
                 // check: allow(wall-clock) phase timing for obs/telemetry stats only
                 let t0 = Instant::now();
@@ -1101,7 +1016,7 @@ impl MulEnv {
                             let _s = obs.span("lint");
                             rlmul_rtl::lint_delta(state.mul.arena(), state.mul.last_delta())
                         };
-                        counters.lint.record(&lint_report);
+                        self.stats.lint.record(&lint_report);
                         debug_assert_eq!(
                             lint_report.errors(),
                             0,
@@ -1132,7 +1047,7 @@ impl MulEnv {
                             let _s = obs.span("lint");
                             rlmul_rtl::lint(&netlist)
                         };
-                        counters.lint.record(&lint_report);
+                        self.stats.lint.record(&lint_report);
                         debug_assert_eq!(
                             lint_report.errors(),
                             0,
@@ -1143,7 +1058,7 @@ impl MulEnv {
                         let t2 = Instant::now();
                         let reports = {
                             let _s = obs.span("synth");
-                            synthesizer.run_many(&netlist, options)?
+                            self.synthesizer.run_many(&netlist, options)?
                         };
                         (t1, t2, reports)
                     }
@@ -1156,18 +1071,18 @@ impl MulEnv {
                     &[("mode", mode)],
                 )
                 .inc();
-                counters.synthesis_calls += 1;
-                if trace.is_enabled() {
-                    trace.emit("synth", &format!("targets={} mode={mode}", options.len()));
+                self.stats.synthesis_calls += 1;
+                if self.trace.is_enabled() {
+                    self.trace.emit("synth", &format!("targets={} mode={mode}", options.len()));
                 }
                 obs.counter(
                     "rlmul_synth_calls_total",
                     "Real synthesis pipeline invocations (cache misses that ran the synthesizer).",
                 )
                 .inc();
-                counters.synth_runs += reports.len();
+                self.stats.synth_runs += reports.len();
                 for r in &reports {
-                    counters.sta.merge(r.sta);
+                    self.stats.sta.merge(r.sta);
                 }
                 for (phase, from, to) in
                     [("elaborate", t0, t1), ("lint", t1, t2), ("synth", t2, t3)]
@@ -1179,7 +1094,7 @@ impl MulEnv {
                     )
                     .observe((to - from).as_secs_f64());
                 }
-                if sink.is_enabled() {
+                if self.sink.is_enabled() {
                     // Phase timings mirror the trace-correlated
                     // cache_miss/synth events emitted above, so the
                     // telemetry-only lines below are escape-justified.
@@ -1189,14 +1104,14 @@ impl MulEnv {
                             .with("name", name)
                             .with("secs", (to - from).as_secs_f64())
                     };
-                    sink.emit(phase("elaborate", t0, t1)); // check: allow(trace-ctx) mirrors trace above
-                    sink.emit(phase("lint", t1, t2)); // check: allow(trace-ctx) mirrors trace above
-                    sink.emit(phase("synth", t2, t3)); // check: allow(trace-ctx) mirrors trace above
+                    self.sink.emit(phase("elaborate", t0, t1)); // check: allow(trace-ctx) mirrors trace above
+                    self.sink.emit(phase("lint", t1, t2)); // check: allow(trace-ctx) mirrors trace above
+                    self.sink.emit(phase("synth", t2, t3)); // check: allow(trace-ctx) mirrors trace above
                 }
-                let cost = weights.cost(&reports);
+                let cost = self.config.weights.cost(&reports);
                 let eval = Arc::new(Evaluation { reports, cost });
                 ticket.complete(eval.clone());
-                working.touch(&key, &eval);
+                self.working.touch(&key, &eval);
                 Ok((eval, true))
             }
         }
@@ -1210,18 +1125,7 @@ impl MulEnv {
 
     /// Evaluation-pipeline statistics for this environment.
     pub fn stats(&self) -> EnvStats {
-        EnvStats {
-            steps: self.steps_taken,
-            distinct_states: self.working.len(),
-            synth_runs: self.counters.synth_runs,
-            cache_hits: self.counters.cache_hits,
-            cache_misses: self.counters.cache_misses,
-            sta: self.counters.sta,
-            lint: self.counters.lint,
-            synthesis_calls: self.counters.synthesis_calls,
-            surrogate_screened: self.counters.surrogate_screened,
-            surrogate_forced_evals: self.counters.surrogate_forced_evals,
-        }
+        EnvStats { steps: self.steps_taken, distinct_states: self.working.len(), ..self.stats }
     }
 
     /// Handle to the evaluation cache this environment uses; clone it
@@ -1290,13 +1194,11 @@ mod tests {
     fn incremental_pipeline_matches_full_rebuild_costs() {
         // Two independent caches, identical action walks: the
         // incremental miss path must produce bit-identical costs and
-        // rewards to the from-scratch oracle pipeline.
-        let inc_cfg = EnvConfig::new(8, PpgKind::And);
-        assert_eq!(inc_cfg.pipeline, PipelineMode::Incremental);
-        let mut full_cfg = inc_cfg.clone();
-        full_cfg.pipeline = PipelineMode::FullRebuild;
-        let mut inc_env = MulEnv::new(inc_cfg).unwrap();
-        let mut full_env = MulEnv::new(full_cfg).unwrap();
+        // rewards to the from-scratch oracle pipeline (an environment
+        // without incremental state rebuilds on every miss).
+        let mut inc_env = env8();
+        let mut full_env = env8();
+        full_env.inc = None;
         assert_eq!(inc_env.delay_targets(), full_env.delay_targets());
         assert_eq!(inc_env.current_cost().to_bits(), full_env.current_cost().to_bits());
         let mut seed = 0x9e3779b97f4a7c15u64;
@@ -1350,17 +1252,6 @@ mod tests {
         let t = env.encode_current().unwrap();
         assert_eq!(t.shape(), env.tensor_shape());
         assert!(t.data().iter().all(|v| (0.0..=8.0).contains(v)));
-    }
-
-    #[test]
-    fn reset_restores_initial_state() {
-        let mut env = env8();
-        let initial = env.current().clone();
-        let a = env.action_mask().iter().position(|&ok| ok).unwrap();
-        env.step(a).unwrap();
-        assert_ne!(env.current(), &initial);
-        env.reset();
-        assert_eq!(env.current(), &initial);
     }
 
     #[test]

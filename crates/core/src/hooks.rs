@@ -6,7 +6,8 @@
 //! [`TrainHooks`]; the default is fully inert, so library callers
 //! that don't care pay a branch per step and nothing else.
 
-use rlmul_ckpt::SnapshotStore;
+use crate::RlMulError;
+use rlmul_ckpt::{Record, SnapshotStore};
 use rlmul_obs::TraceCtx;
 use rlmul_telemetry::{Event, TelemetrySink};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
@@ -76,6 +77,38 @@ impl TrainHooks {
             && self.checkpoint_every > 0
             && steps_done.is_multiple_of(self.checkpoint_every)
             && steps_done < total_steps
+    }
+
+    /// Rolls a driver snapshot taken after `step` completed steps into
+    /// the store (a no-op without one): `latest.ckpt` always, a
+    /// step-tagged copy for a `periodic` checkpoint under
+    /// `keep_history`, and `best.ckpt` when `best_cost` improves on
+    /// `best_saved`. Emits one `checkpoint` telemetry event.
+    pub(crate) fn roll_checkpoint<R: Record>(
+        &self,
+        step: usize,
+        snap: &R,
+        best_cost: f64,
+        best_saved: &mut f64,
+        periodic: bool,
+    ) -> Result<(), RlMulError> {
+        let Some(store) = &self.store else { return Ok(()) };
+        store.save_latest(snap)?;
+        if periodic && self.keep_history {
+            store.save_step(step, snap)?;
+        }
+        if best_cost < *best_saved {
+            store.save_best(snap)?;
+            *best_saved = best_cost;
+        }
+        // check: allow(trace-ctx) run-level checkpoint record; the job trace carries the steps
+        self.telemetry.emit(
+            // check: allow(trace-ctx) as above
+            Event::new("checkpoint")
+                .with("step", step as u64)
+                .with("path", store.latest_path().display().to_string()),
+        );
+        Ok(())
     }
 }
 

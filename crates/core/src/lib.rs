@@ -65,8 +65,8 @@ pub use dqn::{
     resume_dqn, resume_dqn_cached, train_dqn, train_dqn_with, DqnConfig, DqnSnapshot, QNetwork,
 };
 pub use env::{
-    EnvConfig, EnvSnapshot, EnvStats, Evaluation, InitialStructure, MulEnv, PipelineMode,
-    StagePruning, StepOutcome,
+    EnvConfig, EnvSnapshot, EnvStats, Evaluation, InitialStructure, MulEnv, Screen, StagePruning,
+    StepOutcome,
 };
 pub use error::RlMulError;
 pub use hooks::{emit_span_events, emit_trace_events, TrainHooks};

@@ -1,9 +1,12 @@
 //! Common result type of every optimizer (RL-MUL, RL-MUL-E, SA, …).
 
+use crate::cache::WorkingSet;
+use crate::env::MulEnv;
 use rlmul_ct::CompressorTree;
 pub use rlmul_nn::NnStats;
 pub use rlmul_rtl::LintStats;
 use rlmul_synth::StaStats;
+use rlmul_telemetry::Event;
 
 /// Evaluation-pipeline counters pooled over a whole optimization run:
 /// how much synthesis was performed, how much the shared cache
@@ -36,6 +39,34 @@ pub struct PipelineStats {
 }
 
 impl PipelineStats {
+    /// Pools the counters of a run's environments: work counters sum
+    /// per-environment contributions, `cache_entries` is the union of
+    /// their working sets, and `nn` is the run's agent-network work.
+    pub(crate) fn pooled(envs: &[MulEnv], nn: NnStats) -> Self {
+        let mut p = PipelineStats {
+            cache_entries: WorkingSet::union_len(envs.iter().map(MulEnv::working_set)),
+            nn,
+            ..Default::default()
+        };
+        for s in envs.iter().map(MulEnv::stats) {
+            p.cache_hits += s.cache_hits;
+            p.cache_misses += s.cache_misses;
+            p.sta.merge(s.sta);
+            p.lint.merge(s.lint);
+            p.synthesis_calls += s.synthesis_calls;
+            p.surrogate_screened += s.surrogate_screened;
+            p.surrogate_forced_evals += s.surrogate_forced_evals;
+        }
+        p
+    }
+
+    /// The end-of-run `cache` telemetry event.
+    pub(crate) fn cache_event(&self) -> Event {
+        Event::new("cache")
+            .with("hits", self.cache_hits as u64)
+            .with("misses", self.cache_misses as u64)
+    }
+
     /// One-line human-readable rendering for logs and bench reports.
     /// Deterministic for a seeded run (the nn part reports work
     /// counters, not wall time), so seeded CLI output stays

@@ -3,9 +3,9 @@
 //! search strategy.
 
 use crate::cache::{CacheKey, EvalCache};
-use crate::env::{EnvConfig, EnvSnapshot, Evaluation, MulEnv};
+use crate::env::{EnvConfig, EnvSnapshot, Evaluation, MulEnv, Screen};
 use crate::hooks::{emit_span_events, TrainHooks};
-use crate::outcome::{OptimizationOutcome, PipelineStats};
+use crate::outcome::{NnStats, OptimizationOutcome, PipelineStats};
 use crate::RlMulError;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -151,16 +151,18 @@ pub fn run_sa_with(
         {
             let env_ref = &mut env;
             let err_ref = &mut eval_error;
-            // With the surrogate enabled, proposals whose predicted
-            // uphill delta makes rejection certain at the current
-            // temperature are answered by the model instead of
-            // synthesis (see `MulEnv::evaluate_gated`). Disabled,
-            // this is exactly `MulEnv::evaluate`. Cost and
+            // With the surrogate enabled, proposals predicted to be
+            // unpromising, or whose predicted uphill delta makes
+            // rejection certain at the current temperature, are
+            // answered by the model instead of synthesis (the
+            // `Screen::Anneal` policy of `MulEnv::evaluate_screened`).
+            // Disabled, this is exactly `MulEnv::evaluate`. Cost and
             // temperature are fixed for the duration of one proposal,
             // so reading them before the step is exact.
-            let (cur, temp) = (run.current_cost(), run.temperature());
-            run.step(&mut rng, |tree| match env_ref.evaluate_gated(tree, cur, temp) {
-                Ok(e) => e.cost,
+            let screen =
+                Screen::Anneal { current_cost: run.current_cost(), temperature: run.temperature() };
+            run.step(&mut rng, |tree| match env_ref.evaluate_screened(tree, screen) {
+                Ok((e, _)) => e.cost,
                 Err(e) => {
                     // Surface the first error after the step;
                     // penalize the state so the annealer walks away
@@ -200,13 +202,10 @@ pub fn run_sa_with(
         save_sa_checkpoint(&run, &rng, &mut env, hooks, &mut best_saved, false)?;
     }
 
-    let stats = env.stats();
+    // SA trains no network.
+    let pipeline = PipelineStats::pooled(std::slice::from_ref(&env), NnStats::default());
     if hooks.telemetry.is_enabled() {
-        hooks.telemetry.emit(
-            Event::new("cache")
-                .with("hits", stats.cache_hits as u64)
-                .with("misses", stats.cache_misses as u64),
-        );
+        hooks.telemetry.emit(pipeline.cache_event());
         emit_span_events(&hooks.telemetry, &obs.span_stats_since(&spans_before));
     }
     let outcome = run.into_outcome();
@@ -215,25 +214,14 @@ pub fn run_sa_with(
         best_cost: outcome.best_cost,
         trajectory: outcome.trajectory,
         pareto_points: env.pareto_points().to_vec(),
-        states_visited: stats.distinct_states,
-        synth_runs: stats.synth_runs,
-        pipeline: PipelineStats {
-            cache_hits: stats.cache_hits,
-            cache_misses: stats.cache_misses,
-            cache_entries: stats.distinct_states,
-            sta: stats.sta,
-            // SA trains no network.
-            nn: rlmul_nn::NnStats::default(),
-            lint: stats.lint,
-            synthesis_calls: stats.synthesis_calls,
-            surrogate_screened: stats.surrogate_screened,
-            surrogate_forced_evals: stats.surrogate_forced_evals,
-        },
+        states_visited: pipeline.cache_entries,
+        synth_runs: env.stats().synth_runs,
+        pipeline,
     })
 }
 
-/// Rolls `latest.ckpt` (and `best.ckpt` when the walk improved) with
-/// the full annealing state at a step boundary.
+/// Rolls the full annealing state at a step boundary into the
+/// checkpoint store ([`TrainHooks::roll_checkpoint`]).
 fn save_sa_checkpoint(
     run: &SaRun,
     rng: &StdRng,
@@ -242,27 +230,13 @@ fn save_sa_checkpoint(
     best_saved: &mut f64,
     periodic: bool,
 ) -> Result<(), RlMulError> {
-    let Some(store) = &hooks.store else { return Ok(()) };
     let snap = SaSnapshot {
         rng: rng.state(),
         parts: run.to_parts(),
         env: env.snapshot(),
         cache: env.working_set().export(),
     };
-    store.save_latest(&snap)?;
-    if periodic && hooks.keep_history {
-        store.save_step(run.steps_done(), &snap)?;
-    }
-    if run.best_cost() < *best_saved {
-        store.save_best(&snap)?;
-        *best_saved = run.best_cost();
-    }
-    hooks.telemetry.emit(
-        Event::new("checkpoint")
-            .with("step", run.steps_done() as u64)
-            .with("path", store.latest_path().display().to_string()),
-    );
-    Ok(())
+    hooks.roll_checkpoint(run.steps_done(), &snap, run.best_cost(), best_saved, periodic)
 }
 
 #[cfg(test)]

@@ -1,5 +1,6 @@
 //! Acceptance tests for the online learned surrogate evaluator:
-//! resume determinism with screening active, prediction-error
+//! resume determinism with screening active (the SA margin gate and
+//! the DQN / A2C top-k gate), prediction-error
 //! telemetry, and the synthesis-call contract (screened proposals
 //! must not reach the synthesis pipeline or the evaluation cache).
 //!
@@ -10,10 +11,12 @@
 use rlmul_baselines::SaConfig;
 use rlmul_ckpt::SnapshotStore;
 use rlmul_core::{
-    resume_sa, run_sa, run_sa_with, EnvConfig, EvalCache, OptimizationOutcome, SaSnapshot,
-    TrainHooks,
+    resume_a2c, resume_dqn, resume_sa, run_sa, run_sa_with, train_a2c_with, train_dqn_with,
+    A2cConfig, A2cSnapshot, DqnConfig, DqnSnapshot, EnvConfig, EvalCache, MulEnv,
+    OptimizationOutcome, SaSnapshot, TrainHooks,
 };
 use rlmul_ct::PpgKind;
+use rlmul_nn::TrunkConfig;
 use rlmul_telemetry::TelemetryWriter;
 use std::path::PathBuf;
 
@@ -77,6 +80,63 @@ fn sa_resume_is_bit_identical_with_surrogate_on() {
     assert_eq!(snap.steps_done(), 20);
     let resumed = resume_sa(&env_cfg, &full_cfg, snap, &TrainHooks::default()).unwrap();
 
+    assert_bit_identical(&full, &resumed);
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+fn tiny_trunk() -> TrunkConfig {
+    TrunkConfig { in_channels: 2, channels: vec![4, 8], blocks_per_stage: 1 }
+}
+
+/// Hooks pinning a step-tagged snapshot every `every` steps.
+fn pinned_hooks(store: &SnapshotStore, every: usize) -> TrainHooks {
+    TrainHooks {
+        store: Some(store.clone()),
+        checkpoint_every: every,
+        keep_history: true,
+        ..Default::default()
+    }
+}
+
+#[test]
+fn dqn_resume_is_bit_identical_with_top_k_screening() {
+    let env_cfg = surrogate_env();
+    let config = DqnConfig {
+        steps: 40,
+        warmup: 4,
+        batch_size: 4,
+        trunk: tiny_trunk(),
+        ..Default::default()
+    };
+    let dir = scratch_dir("dqn");
+    let store = SnapshotStore::new(&dir, "dqn");
+    let mut env = MulEnv::new(env_cfg.clone()).unwrap();
+    let full = train_dqn_with(&mut env, &config, &pinned_hooks(&store, 20), None).unwrap();
+    assert!(full.pipeline.surrogate_screened > 0, "test must exercise top-k screening");
+    assert_eq!(full.pipeline.cache_entries, full.pipeline.cache_misses);
+
+    let snap: DqnSnapshot = store.load_step(20).unwrap();
+    assert_eq!(snap.step(), 20);
+    let resumed = resume_dqn(&env_cfg, &config, snap, &TrainHooks::default()).unwrap();
+    assert_bit_identical(&full, &resumed);
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+#[test]
+fn a2c_resume_is_bit_identical_with_top_k_screening() {
+    let env_cfg = surrogate_env();
+    let config =
+        A2cConfig { steps: 24, n_envs: 2, n_step: 3, trunk: tiny_trunk(), ..Default::default() };
+    let dir = scratch_dir("a2c");
+    let store = SnapshotStore::new(&dir, "a2c");
+    let full = train_a2c_with(&env_cfg, &config, EvalCache::new(), &pinned_hooks(&store, 12), None)
+        .unwrap();
+    assert!(full.pipeline.surrogate_screened > 0, "test must exercise top-k screening");
+    assert_eq!(full.pipeline.cache_entries, full.pipeline.cache_misses);
+
+    let snap: A2cSnapshot = store.load_step(12).unwrap();
+    assert_eq!(snap.step(), 12);
+    let resumed = resume_a2c(&env_cfg, &config, snap, &TrainHooks::default()).unwrap();
     assert_bit_identical(&full, &resumed);
     std::fs::remove_dir_all(&dir).unwrap();
 }
