@@ -3,14 +3,13 @@
 //! The facade stays in the hot paths of the eval cache and telemetry
 //! ring unconditionally, so with lockdep off and no model execution
 //! active it must cost no more than `std::sync` plus one relaxed
-//! load. Mirrors the `rlmul-obs` overhead bench: criterion timings
-//! for the record, then a median-of-rounds guard that fails the bench
-//! run on a regression past 2x.
+//! load. Mirrors the `rlmul-obs` overhead bench: a median-of-rounds
+//! guard that fails the bench run on a regression past 2x.
 
-use criterion::{black_box, criterion_group, Criterion};
 use rlmul_check::sync;
+use std::hint::black_box;
 use std::sync::Mutex as StdMutex;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 /// A few-ns xorshift workload per iteration, so the lock cost is
 /// measured against realistic surrounding work.
@@ -23,57 +22,6 @@ fn workload(mut x: u64) -> u64 {
     }
     x
 }
-
-fn bench_disabled_paths(c: &mut Criterion) {
-    let std_mutex = StdMutex::new(0u64);
-    let facade_mutex = sync::Mutex::new("bench.mutex", 0u64);
-    let std_rw = std::sync::RwLock::new(0u64);
-    let facade_rw = sync::RwLock::new("bench.rw", 0u64);
-
-    let mut g = c.benchmark_group("check_overhead");
-    g.bench_function("std_mutex_lock", |b| {
-        let mut x = 0x9e37_79b9_7f4a_7c15u64;
-        b.iter(|| {
-            x = workload(black_box(x));
-            *std_mutex.lock().expect("bench mutex") += 1;
-            x
-        })
-    });
-    g.bench_function("facade_mutex_lock_disabled", |b| {
-        let mut x = 0x9e37_79b9_7f4a_7c15u64;
-        b.iter(|| {
-            x = workload(black_box(x));
-            *facade_mutex.lock() += 1;
-            x
-        })
-    });
-    g.bench_function("std_rwlock_read", |b| {
-        let mut x = 0x9e37_79b9_7f4a_7c15u64;
-        b.iter(|| {
-            x = workload(black_box(x));
-            black_box(*std_rw.read().expect("bench rwlock"));
-            x
-        })
-    });
-    g.bench_function("facade_rwlock_read_disabled", |b| {
-        let mut x = 0x9e37_79b9_7f4a_7c15u64;
-        b.iter(|| {
-            x = workload(black_box(x));
-            black_box(*facade_rw.read());
-            x
-        })
-    });
-    g.finish();
-}
-
-criterion_group!(
-    name = benches;
-    config = Criterion::default()
-        .sample_size(10)
-        .measurement_time(Duration::from_millis(400))
-        .warm_up_time(Duration::from_millis(100));
-    targets = bench_disabled_paths
-);
 
 /// Median nanoseconds per iteration of `f` over `rounds` timed
 /// batches of `iters` calls each.
@@ -136,6 +84,5 @@ fn overhead_guard() {
 }
 
 fn main() {
-    benches();
     overhead_guard();
 }

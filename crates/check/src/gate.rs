@@ -8,11 +8,13 @@
 
 use std::sync::atomic::{AtomicU32, Ordering};
 
-/// Bit 0: lockdep enabled. Bit 1: ≥1 model execution active.
+/// Bit 0: lockdep enabled. Bits 1 and up: the number of concurrently
+/// active model executions (test harnesses in parallel test threads
+/// may overlap), counted in units of [`MODEL`]. Keeping the count in
+/// the same word as the flag makes enter/exit one atomic step each, so
+/// an exit can never clear the "model active" state an overlapping
+/// enter just established.
 static FLAGS: AtomicU32 = AtomicU32::new(0);
-/// Number of concurrently active model executions (test harnesses in
-/// parallel test threads may overlap).
-static MODEL_COUNT: AtomicU32 = AtomicU32::new(0);
 
 pub(crate) const LOCKDEP: u32 = 1;
 pub(crate) const MODEL: u32 = 2;
@@ -30,14 +32,48 @@ pub(crate) fn set_lockdep(on: bool) {
     }
 }
 
+/// Whether at least one model execution is active anywhere in the
+/// process.
+#[inline]
+pub(crate) fn model_active() -> bool {
+    flags() & !LOCKDEP != 0
+}
+
 pub(crate) fn model_enter() {
-    if MODEL_COUNT.fetch_add(1, Ordering::Relaxed) == 0 {
-        FLAGS.fetch_or(MODEL, Ordering::Relaxed);
-    }
+    FLAGS.fetch_add(MODEL, Ordering::Relaxed);
 }
 
 pub(crate) fn model_exit() {
-    if MODEL_COUNT.fetch_sub(1, Ordering::Relaxed) == 1 {
-        FLAGS.fetch_and(!MODEL, Ordering::Relaxed);
+    FLAGS.fetch_sub(MODEL, Ordering::Relaxed);
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// Overlapping executions must each see the model active for their
+    /// whole lifetime: one execution's exit must never clear the state
+    /// another's enter set.
+    #[test]
+    fn overlapping_executions_stay_active() {
+        const ROUNDS: usize = 200_000;
+        let misses: usize = std::thread::scope(|s| {
+            let probes: Vec<_> = (0..2)
+                .map(|_| {
+                    s.spawn(|| {
+                        (0..ROUNDS)
+                            .filter(|_| {
+                                model_enter();
+                                let active = model_active();
+                                model_exit();
+                                !active
+                            })
+                            .count()
+                    })
+                })
+                .collect();
+            probes.into_iter().map(|p| p.join().expect("probe thread")).sum()
+        });
+        assert_eq!(misses, 0, "an active execution saw the model gate closed");
     }
 }

@@ -123,7 +123,7 @@ pub(crate) struct Ctx {
 
 /// The model execution this OS thread belongs to, if any.
 pub(crate) fn current() -> Option<Ctx> {
-    if gate::flags() & gate::MODEL == 0 {
+    if !gate::model_active() {
         return None;
     }
     CTX.with(|c| c.borrow().clone())

@@ -2,16 +2,14 @@
 //!
 //! These are the seed implementations of `Conv2d` and `Linear` (and a
 //! triple-loop matmul), kept verbatim after the layers moved to the
-//! GEMM/im2col path. They pin the optimized kernels three ways:
+//! GEMM/im2col path. They pin the optimized kernels two ways:
 //!
 //! * debug builds re-run every layer call through the oracle and
 //!   assert near-equality (see `assert_close` — a tight
 //!   relative-plus-absolute tolerance that only absorbs summation-
 //!   order differences),
 //! * the property tests in `tests/properties.rs` compare random
-//!   shapes/strides/paddings against them,
-//! * the criterion benches measure the optimized path's speedup over
-//!   them.
+//!   shapes/strides/paddings against them.
 //!
 //! They are compiled unconditionally (the code is small) but only
 //! the debug-assertion oracle calls them on the hot path.

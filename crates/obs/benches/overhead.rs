@@ -1,16 +1,15 @@
 //! Disabled-path overhead guard.
 //!
 //! Instrumentation stays in hot paths unconditionally, so the
-//! disabled path must be effectively free. This bench both *reports*
-//! (criterion timings for the disabled counter/histogram/span paths
-//! against an uninstrumented baseline) and *guards*: a custom `main`
-//! runs a median-of-rounds comparison and asserts the disabled hot
-//! path stays within noise of no instrumentation, failing the bench
-//! run (and the CI obs job) on a regression.
+//! disabled path must be effectively free. A custom `main` runs a
+//! median-of-rounds comparison against an uninstrumented baseline and
+//! asserts the disabled hot path stays within noise of no
+//! instrumentation, failing the bench run (and the CI obs job) on a
+//! regression.
 
-use criterion::{black_box, criterion_group, Criterion};
 use rlmul_obs::{Registry, TraceCtx};
-use std::time::{Duration, Instant};
+use std::hint::black_box;
+use std::time::Instant;
 
 /// A few-ns xorshift workload per iteration — realistic enough that a
 /// one-branch disabled check should vanish next to it.
@@ -23,106 +22,6 @@ fn workload(mut x: u64) -> u64 {
     }
     x
 }
-
-fn bench_disabled_paths(c: &mut Criterion) {
-    let gated = Registry::gated(); // present but off: one load + branch
-    let disabled = Registry::disabled(); // never constructed: one Option branch
-    let gated_counter = gated.counter("bench_total", "h");
-    let gated_histo = gated.histogram("bench_seconds", "h");
-    let disabled_counter = disabled.counter("bench_total", "h");
-
-    let mut g = c.benchmark_group("obs_overhead");
-    g.bench_function("baseline_no_instrumentation", |b| {
-        let mut x = 0x9e37_79b9_7f4a_7c15u64;
-        b.iter(|| {
-            x = workload(black_box(x));
-            x
-        })
-    });
-    g.bench_function("disabled_counter_inc", |b| {
-        let mut x = 0x9e37_79b9_7f4a_7c15u64;
-        b.iter(|| {
-            x = workload(black_box(x));
-            disabled_counter.inc();
-            x
-        })
-    });
-    g.bench_function("gated_counter_inc", |b| {
-        let mut x = 0x9e37_79b9_7f4a_7c15u64;
-        b.iter(|| {
-            x = workload(black_box(x));
-            gated_counter.inc();
-            x
-        })
-    });
-    g.bench_function("gated_histogram_observe", |b| {
-        let mut x = 0x9e37_79b9_7f4a_7c15u64;
-        b.iter(|| {
-            x = workload(black_box(x));
-            gated_histo.observe(x as f64);
-            x
-        })
-    });
-    g.bench_function("gated_span_open_close", |b| {
-        let mut x = 0x9e37_79b9_7f4a_7c15u64;
-        b.iter(|| {
-            x = workload(black_box(x));
-            let _span = gated.span("bench");
-            x
-        })
-    });
-    let trace = TraceCtx::disabled();
-    g.bench_function("disabled_trace_emit", |b| {
-        let mut x = 0x9e37_79b9_7f4a_7c15u64;
-        b.iter(|| {
-            x = workload(black_box(x));
-            trace.emit("bench", "detail");
-            x
-        })
-    });
-    g.finish();
-
-    // Enabled reference points for the BENCH log: what live recording
-    // costs the hot path when someone is actually watching.
-    let enabled = Registry::new();
-    let counter = enabled.counter("bench_total", "h");
-    let histo = enabled.histogram("bench_seconds", "h");
-    let mut g = c.benchmark_group("obs_enabled");
-    g.bench_function("counter_inc", |b| {
-        let mut x = 1u64;
-        b.iter(|| {
-            x = workload(black_box(x));
-            counter.inc();
-            x
-        })
-    });
-    g.bench_function("histogram_observe", |b| {
-        let mut x = 1u64;
-        b.iter(|| {
-            x = workload(black_box(x));
-            histo.observe(x as f64);
-            x
-        })
-    });
-    g.bench_function("span_open_close", |b| {
-        let mut x = 1u64;
-        b.iter(|| {
-            x = workload(black_box(x));
-            let _span = enabled.span("bench");
-            x
-        })
-    });
-    g.finish();
-}
-
-criterion_group!(
-    name = benches;
-    config = Criterion::default()
-        .sample_size(10)
-        .measurement_time(Duration::from_millis(400))
-        .warm_up_time(Duration::from_millis(100));
-    targets = bench_disabled_paths
-);
 
 /// Median nanoseconds per iteration of `f` over `rounds` timed
 /// batches of `iters` calls each.
@@ -191,6 +90,5 @@ fn overhead_guard() {
 }
 
 fn main() {
-    benches();
     overhead_guard();
 }

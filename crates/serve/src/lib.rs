@@ -31,8 +31,8 @@
 //! * [`trace`] — durable per-job traces: the persisted record and the
 //!   rendering shared by `GET /jobs/:id/trace` and the live
 //!   `GET /jobs/:id/events` stream;
-//! * [`loadtest`] — the synthetic-client load harness behind `rlmul
-//!   loadtest` and `bench_serve`.
+//! * [`client`] — the minimal HTTP/1.1 client `rlmul trace` and the
+//!   integration tests drive a live daemon with.
 //!
 //! # Example
 //!
@@ -54,15 +54,14 @@
 #![deny(missing_docs)]
 
 pub mod api;
+pub mod client;
 pub mod job;
 pub mod json;
-pub mod loadtest;
 pub mod queue;
 pub mod server;
 pub mod trace;
 
 pub use job::{JobRecord, JobResult, JobSpec, JobState, Method, Pref, JOB_RECORD_KIND};
-pub use loadtest::{percentile, run_loadtest, HttpClient, LoadReport, LoadtestConfig};
 pub use queue::JobQueue;
 pub use server::{ServeConfig, Server};
 pub use trace::{render_event, TraceRecord, TRACE_RECORD_KIND};

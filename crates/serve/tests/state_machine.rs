@@ -3,7 +3,7 @@
 //! two cancellation shapes, the HTTP error contract, and clean-
 //! restart recovery from the persisted job records.
 
-use rlmul_serve::loadtest::{http_call, HttpClient};
+use rlmul_serve::client::{http_call, HttpClient};
 use rlmul_serve::{JobState, ServeConfig, Server};
 use std::path::{Path, PathBuf};
 use std::time::{Duration, Instant};
@@ -282,5 +282,89 @@ fn keep_alive_client_does_not_stall() {
     // server's keep-alive read timeout.
     drop(client);
     drop(server);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// One load client: submits `jobs` small SA jobs over a keep-alive
+/// connection, cancels every third right after submitting it, and polls
+/// each to a terminal state. Returns (submitted, terminal states seen,
+/// client errors), where an error is a transport failure, an unexpected
+/// status or a job still not terminal after 300 s.
+fn load_client(addr: &str, client: u64, jobs: u64) -> (u64, Vec<String>, u64) {
+    let mut http = HttpClient::new(addr);
+    let (mut submitted, mut states, mut errors) = (0, Vec::new(), 0);
+    for j in 0..jobs {
+        let seed = client * jobs + j + 1;
+        let body = format!(
+            concat!(
+                r#"{{"bits":4,"method":"sa","steps":3,"seed":{},"ckpt_every":0,"#,
+                r#""tenant":"load-{}","priority":{}}}"#
+            ),
+            seed,
+            client,
+            j % 3
+        );
+        let id = match http.call("POST", "/jobs", &body) {
+            Ok((201, payload)) => field_u64(&payload, "id"),
+            _ => None,
+        };
+        let Some(id) = id else {
+            errors += 1;
+            continue;
+        };
+        submitted += 1;
+        if (j + 1) % 3 == 0 {
+            // Queued (200), running (202) and already terminal (409)
+            // are all legitimate answers to a racy cancel.
+            let cancel = http.call("POST", &format!("/jobs/{id}/cancel"), "");
+            if !matches!(cancel, Ok((200 | 202 | 409, _))) {
+                errors += 1;
+            }
+        }
+        let deadline = Instant::now() + Duration::from_secs(300);
+        loop {
+            let state = match http.call("GET", &format!("/jobs/{id}"), "") {
+                Ok((200, payload)) => field_str(&payload, "state").map(str::to_owned),
+                _ => None,
+            };
+            match state.as_deref() {
+                Some(s @ ("done" | "cancelled" | "failed")) => {
+                    states.push(s.to_owned());
+                    break;
+                }
+                _ if Instant::now() > deadline => {
+                    errors += 1;
+                    break;
+                }
+                _ => std::thread::sleep(Duration::from_millis(20)),
+            }
+        }
+    }
+    (submitted, states, errors)
+}
+
+/// Two concurrent load clients, three jobs each: every submitted job
+/// must reach a terminal state, none may fail, and no client may see
+/// an error.
+#[test]
+fn concurrent_clients_drive_every_job_terminal() {
+    const CLIENTS: u64 = 2;
+    const JOBS: u64 = 3;
+    let dir = tmpdir("load");
+    let (server, addr) = start(&dir, 2);
+    let addr = addr.as_str();
+    let outcomes: Vec<_> = std::thread::scope(|s| {
+        let clients: Vec<_> =
+            (0..CLIENTS).map(|c| s.spawn(move || load_client(addr, c, JOBS))).collect();
+        clients.into_iter().map(|h| h.join().expect("client thread")).collect()
+    });
+    let submitted: u64 = outcomes.iter().map(|o| o.0).sum();
+    let states: Vec<&str> = outcomes.iter().flat_map(|o| o.1.iter().map(String::as_str)).collect();
+    let errors: u64 = outcomes.iter().map(|o| o.2).sum();
+    assert_eq!(submitted, CLIENTS * JOBS, "every job submitted: {outcomes:?}");
+    assert_eq!(states.len() as u64, CLIENTS * JOBS, "every job terminal: {outcomes:?}");
+    assert!(!states.contains(&"failed"), "no job failed: {outcomes:?}");
+    assert_eq!(errors, 0, "no client errors: {outcomes:?}");
+    server.shutdown();
     let _ = std::fs::remove_dir_all(&dir);
 }

@@ -4,8 +4,8 @@
 //! tentpole promises — a live stream observed during a run matches
 //! the stored trace event-for-event, byte-for-byte.
 
+use rlmul_serve::client::http_call;
 use rlmul_serve::json::{parse_object, parse_object_array, JsonValue};
-use rlmul_serve::loadtest::http_call;
 use rlmul_serve::{ServeConfig, Server};
 use std::io::{Read, Write};
 use std::net::TcpStream;

@@ -52,7 +52,6 @@ fn main() -> ExitCode {
         "check-src" => cmd_check_src(&opts),
         "synth" => cmd_synth(&opts),
         "serve" => cmd_serve(&opts),
-        "loadtest" => cmd_loadtest(&opts),
         "trace" => cmd_trace(&tokens, &opts),
         "serve-metrics" => cmd_serve_metrics(&tokens, &opts),
         "profile" => cmd_profile(&opts),
@@ -103,8 +102,6 @@ COMMANDS
   synth     synthesize a structure and report PPA
   serve     run the multi-tenant optimization job server (HTTP API;
             see DESIGN.md §16); Ctrl-C drains and persists all jobs
-  loadtest  hammer a running job server with synthetic clients and
-            report throughput plus p50/p95/p99 latency
   trace     fetch one job's event timeline from a running job server
             and render it as a table plus flamegraph-ready stacks
   serve-metrics  replay a JSONL log onto a Prometheus /metrics endpoint
@@ -178,16 +175,6 @@ SERVE OPTIONS
                     with the same DIR to re-adopt in-flight jobs
   --workers N       optimization worker threads (default 2)
   --http-workers N  HTTP serving threads (default 2)
-
-LOADTEST OPTIONS
-  --addr A          server to target (default 127.0.0.1:7171)
-  --clients N       concurrent synthetic clients (default 4)
-  --jobs N          jobs submitted per client (default 4)
-  --bits N          operand width per job (default 4)
-  --steps N         SA steps per job (default 4)
-  --cancel-every N  cancel every Nth job per client (default 3;
-                    0 = never cancel)
-  --out PATH        also write the JSON report to PATH
 
 TRACE USAGE
   rlmul trace JOB_ID [--addr 127.0.0.1:7171] [--out PATH]
@@ -511,37 +498,6 @@ fn cmd_serve(opts: &HashMap<String, String>) -> CliResult {
     Ok(())
 }
 
-/// Hammers a running job server with synthetic clients and prints the
-/// throughput / latency report (the same JSON document `bench_serve`
-/// writes to results/BENCH_serve.json).
-fn cmd_loadtest(opts: &HashMap<String, String>) -> CliResult {
-    let cfg = rlmul::serve::LoadtestConfig {
-        addr: opts.get("addr").cloned().unwrap_or_else(|| "127.0.0.1:7171".into()),
-        clients: get(opts, "clients", 4),
-        jobs_per_client: get(opts, "jobs", 4),
-        bits: get(opts, "bits", 4),
-        steps: get(opts, "steps", 4),
-        cancel_every: get(opts, "cancel-every", 3),
-        ..Default::default()
-    };
-    let report = rlmul::serve::run_loadtest(&cfg)?;
-    let rendered = report.render_json(&cfg);
-    if let Some(out) = opts.get("out").filter(|o| !o.is_empty()) {
-        if let Some(parent) = std::path::Path::new(out).parent() {
-            if !parent.as_os_str().is_empty() {
-                std::fs::create_dir_all(parent)?;
-            }
-        }
-        std::fs::write(out, &rendered)?;
-        eprintln!("loadtest report written to {out}");
-    }
-    println!("{rendered}");
-    if report.errors > 0 {
-        return Err(format!("loadtest finished with {} client error(s)", report.errors).into());
-    }
-    Ok(())
-}
-
 /// Fetches one job's trace from a running job server and reconstructs
 /// where its time went: first the raw event timeline (seq, time since
 /// the first event, time until the next one, kind, detail), then the
@@ -561,7 +517,7 @@ fn cmd_trace(tokens: &[String], opts: &HashMap<String, String>) -> CliResult {
     let default_addr = "127.0.0.1:7171".to_owned();
     let addr = opts.get("addr").filter(|a| !a.is_empty()).unwrap_or(&default_addr);
     let (code, body) =
-        rlmul::serve::loadtest::http_call(addr, "GET", &format!("/jobs/{id}/trace"), "")?;
+        rlmul::serve::client::http_call(addr, "GET", &format!("/jobs/{id}/trace"), "")?;
     if code != 200 {
         return Err(format!("GET /jobs/{id}/trace answered {code}: {}", body.trim()).into());
     }

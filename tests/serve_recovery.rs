@@ -14,7 +14,7 @@
 use rlmul::baselines::SaConfig;
 use rlmul::core::{run_sa_with, CostWeights, EnvConfig, EvalCache, TrainHooks};
 use rlmul::ct::PpgKind;
-use rlmul::serve::loadtest::http_call;
+use rlmul::serve::client::http_call;
 use std::path::{Path, PathBuf};
 use std::process::{Child, Command, Stdio};
 use std::time::{Duration, Instant};
