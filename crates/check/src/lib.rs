@@ -14,7 +14,7 @@
 //!   `cargo run -p rlmul-check`): no wall-clock reads in
 //!   determinism-critical code, no `HashMap`/`HashSet` in
 //!   ordering-critical (snapshot/telemetry) files, no panicking
-//!   calls in server-facing request paths, and per-crate
+//!   calls in paths that read untrusted bytes, and per-crate
 //!   `#![forbid(unsafe_code)]` / `#![deny(missing_docs)]` contract
 //!   checks. Findings are suppressed only by an inline
 //!   `// check: allow(<rule>)` escape on (or immediately above) the

@@ -24,9 +24,10 @@ pub const WALL_CLOCK: &str = "wall-clock";
 /// pointing at the sort.
 pub const HASH_ITER: &str = "hash-iter";
 
-/// `panic-path`: no `unwrap`/`expect`/`panic!`-family calls in
-/// server-facing request paths. A malformed request must produce a
-/// logged error response, never kill the serving thread.
+/// `panic-path`: no `unwrap`/`expect`/`panic!`-family calls in paths
+/// that read untrusted bytes. A malformed request or snapshot file
+/// must produce an error value (a logged 400/500 response, an
+/// `InvalidData` error), never kill the thread reading it.
 pub const PANIC_PATH: &str = "panic-path";
 
 /// `crate-attrs`: every crate root carries `#![forbid(unsafe_code)]`,
@@ -72,14 +73,17 @@ pub const HASH_ITER_PATHS: [&str; 8] = [
     "crates/serve/src/",
 ];
 
-/// Files where `panic-path` applies: server-facing request handlers.
+/// Files where `panic-path` applies: paths that read untrusted bytes.
 /// The job server's routing, JSON codec and state-mutation layers are
-/// all on the request path of a long-running daemon.
-pub const PANIC_PATH_PATHS: [&str; 4] = [
+/// all on the request path of a long-running daemon; the network
+/// snapshot readers decode files from disk.
+pub const PANIC_PATH_PATHS: [&str; 6] = [
     "crates/obs/src/http.rs",
     "crates/serve/src/api.rs",
     "crates/serve/src/json.rs",
     "crates/serve/src/server.rs",
+    "crates/nn/src/io.rs",
+    "crates/nn/src/ckpt.rs",
 ];
 
 /// Files where `trace-ctx` applies: the job server plus the core
@@ -203,8 +207,8 @@ pub fn check_panic_path(file: &ScannedFile, path: &str, out: &mut Vec<Finding>) 
                 rule: PANIC_PATH,
                 path: path.to_string(),
                 line: idx + 1,
-                message: "panicking call in a server-facing request path; return a \
-                          logged 400/500 response instead"
+                message: "panicking call in a path that reads untrusted bytes; return \
+                          an error (a logged 400/500 response) instead"
                     .to_string(),
                 snippet: code.trim().to_string(),
             });

@@ -23,7 +23,9 @@ impl Record for Tensor {
     fn decode(dec: &mut Decoder<'_>) -> Result<Self, CkptError> {
         let shape = Vec::<usize>::decode(dec)?;
         let len = dec.get_len(4)?;
-        let volume: usize = shape.iter().product();
+        let volume = shape.iter().try_fold(1usize, |v, &d| v.checked_mul(d)).ok_or_else(|| {
+            CkptError::Invalid { what: format!("tensor shape {shape:?} overflows usize") }
+        })?;
         if len != volume {
             return Err(CkptError::Invalid {
                 what: format!("tensor data length {len} does not match shape volume {volume}"),
@@ -157,6 +159,17 @@ mod tests {
         // Patch the shape's first dim (8-byte vec len, then dim 0).
         bytes[8] = 3;
         assert!(Tensor::from_bytes(&bytes).is_err());
+    }
+
+    #[test]
+    fn tensor_with_overflowing_shape_is_rejected() {
+        // Shape [2^32, 2^32] with no data: the volume wraps to 0 in
+        // unchecked release arithmetic, which would match `len = 0`.
+        let mut enc = Encoder::new();
+        vec![1usize << 32, 1usize << 32].encode(&mut enc);
+        enc.put_usize(0);
+        let err = Tensor::from_bytes(&enc.into_bytes()).unwrap_err();
+        assert!(matches!(err, CkptError::Invalid { .. }), "{err:?}");
     }
 
     #[test]

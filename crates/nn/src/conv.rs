@@ -15,11 +15,9 @@ use std::time::Instant;
 /// (scratch buffer reused across steps) and runs one
 /// [`gemm::gemm_nn`] per sample; backward likewise reduces to one
 /// [`gemm::gemm_nt`] (weight gradient) and one [`gemm::gemm_tn`] +
-/// [`col2im`] (input gradient) per sample. Large batches fan the
-/// per-sample work out over scoped threads following the same policy
-/// as the GEMM row blocks; debug builds replay every call through the
-/// retained naive kernels in [`crate::reference`] and assert
-/// near-equality.
+/// [`col2im`] (input gradient) per sample, all on the calling thread.
+/// Debug builds replay every call through the retained naive kernels
+/// in [`crate::reference`] and assert near-equality.
 #[derive(Debug)]
 pub struct Conv2d {
     weight: Param,
@@ -92,44 +90,18 @@ impl Conv2d {
         let bs = self.bias.value.data();
         let xd = x.data();
 
-        let run_sample = |xs: &[f32], ys: &mut [f32], cols: &mut Vec<f32>| {
-            cols.resize(ickk * ohow, 0.0);
-            im2col(xs, c, h, w, self.k, self.stride, self.pad, oh, ow, cols);
+        let mut cols = std::mem::take(&mut self.cols);
+        cols.resize(ickk * ohow, 0.0);
+        for ni in 0..n {
+            let xs = &xd[ni * sample_in..(ni + 1) * sample_in];
+            let ys = &mut y.data_mut()[ni * sample_out..(ni + 1) * sample_out];
+            im2col(xs, c, h, w, self.k, self.stride, self.pad, oh, ow, &mut cols);
             for (oc, row) in ys.chunks_exact_mut(ohow).enumerate() {
                 row.fill(bs[oc]);
             }
-            // Per-sample GEMMs are small; keep them serial and put
-            // the parallelism at the batch level instead.
-            gemm::gemm_nn_threads(wt, cols, ys, self.out_c, ickk, ohow, 1);
-        };
-
-        let flops = 2 * n as u64 * (self.out_c * ohow * ickk) as u64;
-        let threads = gemm::worker_count(flops as usize, n);
-        if threads > 1 {
-            // Batch-level fan-out: each worker takes a contiguous
-            // sample block with its own scratch. Outputs are disjoint
-            // and per-sample arithmetic is identical to the serial
-            // path, so the result does not depend on the split.
-            let chunk = n.div_ceil(threads);
-            std::thread::scope(|scope| {
-                for (t, yblock) in y.data_mut().chunks_mut(chunk * sample_out).enumerate() {
-                    let run_sample = &run_sample;
-                    let xblock = &xd[t * chunk * sample_in..];
-                    scope.spawn(move || {
-                        let mut cols = Vec::new();
-                        for (s, ys) in yblock.chunks_exact_mut(sample_out).enumerate() {
-                            run_sample(&xblock[s * sample_in..(s + 1) * sample_in], ys, &mut cols);
-                        }
-                    });
-                }
-            });
-        } else {
-            let mut cols = std::mem::take(&mut self.cols);
-            for (ni, ys) in y.data_mut().chunks_exact_mut(sample_out).enumerate() {
-                run_sample(&xd[ni * sample_in..(ni + 1) * sample_in], ys, &mut cols);
-            }
-            self.cols = cols;
+            gemm::gemm_nn(wt, &cols, ys, self.out_c, ickk, ohow);
         }
+        self.cols = cols;
 
         #[cfg(debug_assertions)]
         {
@@ -148,6 +120,7 @@ impl Conv2d {
             );
             crate::reference::assert_close("Conv2d::forward", y.data(), &naive);
         }
+        let flops = 2 * n as u64 * (self.out_c * ohow * ickk) as u64;
         stats::record(Op::ConvForward, flops, t0.elapsed());
         y
     }

@@ -56,8 +56,10 @@ pub fn im2col(
                         let hi = (w as isize - ix0).clamp(0, ow as isize) as usize;
                         orow[..lo].fill(0.0);
                         orow[hi..].fill(0.0);
-                        let src0 = (lo as isize + ix0) as usize;
-                        orow[lo..hi].copy_from_slice(&xrow[src0..src0 + (hi - lo)]);
+                        if lo < hi {
+                            let src0 = (lo as isize + ix0) as usize;
+                            orow[lo..hi].copy_from_slice(&xrow[src0..src0 + (hi - lo)]);
+                        }
                     } else {
                         for (ox, o) in orow.iter_mut().enumerate() {
                             let ix = (ox * stride + kx) as isize - pad as isize;
@@ -73,7 +75,9 @@ pub fn im2col(
 /// Scatters a column-space gradient back onto one sample: for every
 /// tap inside the image, `dx[ic, iy, ix] += cols[(ic,ky,kx), (oy,ox)]`
 /// (padding taps are dropped). Inverse of [`im2col`] in the adjoint
-/// sense; `dx` is accumulated into, not overwritten.
+/// sense; `dx` is accumulated into, not overwritten. Every `dx`
+/// element receives its taps in ascending `(ic, ky, kx, oy, ox)` order
+/// on both the strided and the contiguous stride-1 path.
 ///
 /// # Panics
 ///
@@ -107,10 +111,25 @@ pub fn col2im(
                     }
                     let drow = &mut dxc[iy as usize * w..(iy as usize + 1) * w];
                     let srow = &src[oy * ow..(oy + 1) * ow];
-                    for (ox, &v) in srow.iter().enumerate() {
-                        let ix = (ox * stride + kx) as isize - pad as isize;
-                        if ix >= 0 && (ix as usize) < w {
-                            drow[ix as usize] += v;
+                    if stride == 1 {
+                        // Contiguous tap row: one slice add over the
+                        // in-image span, as im2col copies it.
+                        let ix0 = kx as isize - pad as isize;
+                        let lo = (-ix0).clamp(0, ow as isize) as usize;
+                        let hi = (w as isize - ix0).clamp(0, ow as isize) as usize;
+                        if lo < hi {
+                            let dst0 = (lo as isize + ix0) as usize;
+                            let dst = &mut drow[dst0..dst0 + (hi - lo)];
+                            for (d, &v) in dst.iter_mut().zip(&srow[lo..hi]) {
+                                *d += v;
+                            }
+                        }
+                    } else {
+                        for (ox, &v) in srow.iter().enumerate() {
+                            let ix = (ox * stride + kx) as isize - pad as isize;
+                            if ix >= 0 && (ix as usize) < w {
+                                drow[ix as usize] += v;
+                            }
                         }
                     }
                 }
@@ -189,6 +208,55 @@ mod tests {
         col2im(&g, c, h, w, k, stride, pad, oh, ow, &mut dx);
         let rhs: f32 = x.iter().zip(&dx).map(|(a, b)| a * b).sum();
         assert!((lhs - rhs).abs() < 1e-3 * lhs.abs().max(1.0), "{lhs} vs {rhs}");
+    }
+
+    #[test]
+    fn col2im_matches_the_naive_scatter_bit_for_bit() {
+        // The naive scatter in (ic, ky, kx, oy, ox) order, accumulating
+        // into a non-zero dx; stride 1 takes the row path, stride 2
+        // the per-element path. The last geometry has taps that start
+        // past the right edge (k - 1 - pad > w).
+        for &(c, h, w, k, stride, pad) in
+            &[(2, 5, 6, 3, 1, 1), (3, 4, 4, 1, 1, 0), (2, 7, 5, 3, 2, 1), (1, 1, 1, 5, 1, 2)]
+        {
+            let oh = (h + 2 * pad - k) / stride + 1;
+            let ow = (w + 2 * pad - k) / stride + 1;
+            let g: Vec<f32> = (0..(c * k * k * oh * ow)).map(|i| (i as f32 * 0.71).sin()).collect();
+            let dx0: Vec<f32> = (0..(c * h * w)).map(|i| (i as f32 * 0.29).cos()).collect();
+            let mut want = dx0.clone();
+            for ic in 0..c {
+                for ky in 0..k {
+                    for kx in 0..k {
+                        for oy in 0..oh {
+                            for ox in 0..ow {
+                                let iy = (oy * stride + ky) as isize - pad as isize;
+                                let ix = (ox * stride + kx) as isize - pad as isize;
+                                if iy >= 0 && ix >= 0 && (iy as usize) < h && (ix as usize) < w {
+                                    want[(ic * h + iy as usize) * w + ix as usize] +=
+                                        g[(((ic * k + ky) * k + kx) * oh + oy) * ow + ox];
+                                }
+                            }
+                        }
+                    }
+                }
+            }
+            let mut got = dx0;
+            col2im(&g, c, h, w, k, stride, pad, oh, ow, &mut got);
+            for (i, (a, b)) in got.iter().zip(&want).enumerate() {
+                assert_eq!(a.to_bits(), b.to_bits(), "k{k} s{stride} p{pad}: dx[{i}] {a} vs {b}");
+            }
+        }
+    }
+
+    #[test]
+    fn taps_past_the_right_edge_are_padding() {
+        // k = 5, pad = 2 on a 1×1 image: taps kx = 3, 4 start past the
+        // image and must read as zeros.
+        let mut cols = vec![f32::NAN; 25];
+        im2col(&[7.0], 1, 1, 1, 5, 1, 2, 1, 1, &mut cols);
+        let mut want = vec![0.0; 25];
+        want[12] = 7.0;
+        assert_eq!(cols, want);
     }
 
     #[test]

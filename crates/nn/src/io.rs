@@ -31,26 +31,42 @@ pub fn save_params<W: Write>(net: &mut dyn Layer, mut w: W) -> io::Result<()> {
 }
 
 /// Restores parameters saved by [`save_params`] into an identically
-/// structured network.
+/// structured network. The network is only written once the whole
+/// checkpoint has been read and validated.
 ///
 /// # Errors
 ///
 /// Returns [`io::ErrorKind::InvalidData`] on a bad magic, a parameter
-/// count mismatch or a shape mismatch, and propagates I/O errors.
+/// count mismatch or a shape mismatch, and propagates I/O errors
+/// (a truncated file ends in [`io::ErrorKind::UnexpectedEof`]).
 pub fn load_params<R: Read>(net: &mut dyn Layer, mut r: R) -> io::Result<()> {
+    let invalid = |msg: String| io::Error::new(io::ErrorKind::InvalidData, msg);
     let mut magic = [0u8; 8];
     r.read_exact(&mut magic)?;
     if &magic != MAGIC {
-        return Err(io::Error::new(io::ErrorKind::InvalidData, "not an rlmul-nn checkpoint"));
+        return Err(invalid("not an rlmul-nn checkpoint".to_string()));
     }
-    let mut count_buf = [0u8; 8];
-    r.read_exact(&mut count_buf)?;
-    let count = u64::from_le_bytes(count_buf) as usize;
-    let mut blobs: Vec<Vec<f32>> = Vec::with_capacity(count);
-    for _ in 0..count {
-        r.read_exact(&mut count_buf)?;
-        let len = u64::from_le_bytes(count_buf) as usize;
-        let mut blob = vec![0f32; len];
+    // The header's count and lengths are untrusted: check them against
+    // the network's own layout before allocating anything they size.
+    let mut lens = Vec::new();
+    net.visit_params(&mut |p| lens.push(p.value.len()));
+    let mut word = [0u8; 8];
+    r.read_exact(&mut word)?;
+    let count = u64::from_le_bytes(word);
+    if count != lens.len() as u64 {
+        return Err(invalid(format!(
+            "checkpoint has {count} parameters, network has {}",
+            lens.len()
+        )));
+    }
+    let mut blobs: Vec<Vec<f32>> = Vec::with_capacity(lens.len());
+    for (idx, &want) in lens.iter().enumerate() {
+        r.read_exact(&mut word)?;
+        let len = u64::from_le_bytes(word);
+        if len != want as u64 {
+            return Err(invalid(format!("parameter {idx}: expected {want} values, found {len}")));
+        }
+        let mut blob = vec![0f32; want];
         let mut quad = [0u8; 4];
         for v in &mut blob {
             r.read_exact(&mut quad)?;
@@ -58,44 +74,12 @@ pub fn load_params<R: Read>(net: &mut dyn Layer, mut r: R) -> io::Result<()> {
         }
         blobs.push(blob);
     }
-    let mut idx = 0usize;
-    let mut err: Option<io::Error> = None;
+    let mut blobs = blobs.into_iter();
     net.visit_params(&mut |p| {
-        if err.is_some() {
-            return;
+        if let Some(blob) = blobs.next() {
+            p.value.data_mut().copy_from_slice(&blob);
         }
-        match blobs.get(idx) {
-            Some(blob) if blob.len() == p.value.len() => {
-                p.value.data_mut().copy_from_slice(blob);
-            }
-            Some(blob) => {
-                err = Some(io::Error::new(
-                    io::ErrorKind::InvalidData,
-                    format!(
-                        "parameter {idx}: expected {} values, found {}",
-                        p.value.len(),
-                        blob.len()
-                    ),
-                ));
-            }
-            None => {
-                err = Some(io::Error::new(
-                    io::ErrorKind::InvalidData,
-                    format!("checkpoint has only {count} parameters"),
-                ));
-            }
-        }
-        idx += 1;
     });
-    if let Some(e) = err {
-        return Err(e);
-    }
-    if idx != count {
-        return Err(io::Error::new(
-            io::ErrorKind::InvalidData,
-            format!("checkpoint has {count} parameters, network has {idx}"),
-        ));
-    }
     Ok(())
 }
 
@@ -131,6 +115,49 @@ mod tests {
         let mut buf = Vec::new();
         save_params(&mut small, &mut buf).expect("saves");
         assert!(load_params(&mut big, buf.as_slice()).is_err());
+    }
+
+    /// A checkpoint header: magic, parameter count, then the given
+    /// per-parameter length words with no data behind them.
+    fn header(count: u64, lens: &[u64]) -> Vec<u8> {
+        let mut buf = MAGIC.to_vec();
+        buf.extend_from_slice(&count.to_le_bytes());
+        for len in lens {
+            buf.extend_from_slice(&len.to_le_bytes());
+        }
+        buf
+    }
+
+    #[test]
+    fn huge_parameter_count_is_invalid_data_not_an_abort() {
+        let mut net = Linear::new(2, 2, &mut StdRng::seed_from_u64(3));
+        let err = load_params(&mut net, header(1 << 60, &[]).as_slice()).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{err}");
+    }
+
+    #[test]
+    fn huge_blob_length_is_invalid_data_not_an_abort() {
+        let mut net = Linear::new(2, 2, &mut StdRng::seed_from_u64(3));
+        let err = load_params(&mut net, header(2, &[1 << 62]).as_slice()).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{err}");
+    }
+
+    #[test]
+    fn truncated_file_fails_and_leaves_the_network_untouched() {
+        let mut rng = StdRng::seed_from_u64(3);
+        let mut src = Linear::new(3, 2, &mut rng);
+        let mut dst = Linear::new(3, 2, &mut rng);
+        let mut buf = Vec::new();
+        save_params(&mut src, &mut buf).expect("saves");
+        let mut before = Vec::new();
+        dst.visit_params(&mut |p| before.extend_from_slice(p.value.data()));
+        for cut in [4, 12, 20, buf.len() - 1] {
+            let err = load_params(&mut dst, &buf[..cut]).unwrap_err();
+            assert_eq!(err.kind(), io::ErrorKind::UnexpectedEof, "cut at {cut}: {err}");
+        }
+        let mut after = Vec::new();
+        dst.visit_params(&mut |p| after.extend_from_slice(p.value.data()));
+        assert_eq!(before, after);
     }
 
     #[test]

@@ -39,33 +39,39 @@ impl BatchNorm2d {
     }
 }
 
+/// Index range of the contiguous `h·w` plane of sample `ni`, channel
+/// `ch` in an NCHW buffer. Walking a channel's planes in ascending
+/// sample order visits its elements in `(n, h, w)` order — the order
+/// every per-channel sum below accumulates in.
+fn plane(c: usize, hw: usize, ni: usize, ch: usize) -> std::ops::Range<usize> {
+    let start = (ni * c + ch) * hw;
+    start..start + hw
+}
+
 impl Layer for BatchNorm2d {
     fn forward(&mut self, x: &Tensor, train: bool) -> Tensor {
         let (n, c, h, w) = x.dims4();
-        let count = n * h * w;
+        let (count, hw) = (n * h * w, h * w);
         let mut y = Tensor::zeros(x.shape());
         let gamma = self.gamma.value.data();
         let beta = self.beta.value.data();
+        let xd = x.data();
         if train {
             let mut x_hat = Tensor::zeros(x.shape());
             let mut inv_std = vec![0.0f32; c];
             for ch in 0..c {
                 let mut mean = 0.0f32;
                 for ni in 0..n {
-                    for hy in 0..h {
-                        for wx in 0..w {
-                            mean += x.at4(ni, ch, hy, wx);
-                        }
+                    for &v in &xd[plane(c, hw, ni, ch)] {
+                        mean += v;
                     }
                 }
                 mean /= count as f32;
                 let mut var = 0.0f32;
                 for ni in 0..n {
-                    for hy in 0..h {
-                        for wx in 0..w {
-                            let d = x.at4(ni, ch, hy, wx) - mean;
-                            var += d * d;
-                        }
+                    for &v in &xd[plane(c, hw, ni, ch)] {
+                        let d = v - mean;
+                        var += d * d;
                     }
                 }
                 var /= count as f32;
@@ -76,12 +82,12 @@ impl Layer for BatchNorm2d {
                 self.running_var[ch] =
                     (1.0 - self.momentum) * self.running_var[ch] + self.momentum * var;
                 for ni in 0..n {
-                    for hy in 0..h {
-                        for wx in 0..w {
-                            let xh = (x.at4(ni, ch, hy, wx) - mean) * istd;
-                            *x_hat.at4_mut(ni, ch, hy, wx) = xh;
-                            *y.at4_mut(ni, ch, hy, wx) = gamma[ch] * xh + beta[ch];
-                        }
+                    let p = plane(c, hw, ni, ch);
+                    let (xp, hp) = (&xd[p.clone()], &mut x_hat.data_mut()[p.clone()]);
+                    let yp = &mut y.data_mut()[p];
+                    for ((&v, xh), yv) in xp.iter().zip(hp).zip(yp) {
+                        *xh = (v - mean) * istd;
+                        *yv = gamma[ch] * *xh + beta[ch];
                     }
                 }
             }
@@ -89,12 +95,11 @@ impl Layer for BatchNorm2d {
         } else {
             for ch in 0..c {
                 let istd = 1.0 / (self.running_var[ch] + self.eps).sqrt();
+                let mean = self.running_mean[ch];
                 for ni in 0..n {
-                    for hy in 0..h {
-                        for wx in 0..w {
-                            let xh = (x.at4(ni, ch, hy, wx) - self.running_mean[ch]) * istd;
-                            *y.at4_mut(ni, ch, hy, wx) = gamma[ch] * xh + beta[ch];
-                        }
+                    let p = plane(c, hw, ni, ch);
+                    for (&v, yv) in xd[p.clone()].iter().zip(&mut y.data_mut()[p]) {
+                        *yv = gamma[ch] * ((v - mean) * istd) + beta[ch];
                     }
                 }
             }
@@ -105,33 +110,31 @@ impl Layer for BatchNorm2d {
     fn backward(&mut self, grad_out: &Tensor) -> Tensor {
         let cache = self.cache.as_ref().expect("forward(train) before backward");
         let (n, c, h, w) = grad_out.dims4();
+        let hw = h * w;
         let m = cache.count as f32;
         let mut dx = Tensor::zeros(grad_out.shape());
         let gamma = self.gamma.value.data();
         let dgamma = self.gamma.grad.data_mut();
         let dbeta = self.beta.grad.data_mut();
+        let (gd, xhd) = (grad_out.data(), cache.x_hat.data());
         for ch in 0..c {
             let mut sum_dy = 0.0f32;
             let mut sum_dy_xhat = 0.0f32;
             for ni in 0..n {
-                for hy in 0..h {
-                    for wx in 0..w {
-                        let dy = grad_out.at4(ni, ch, hy, wx);
-                        sum_dy += dy;
-                        sum_dy_xhat += dy * cache.x_hat.at4(ni, ch, hy, wx);
-                    }
+                let p = plane(c, hw, ni, ch);
+                for (&dy, &xh) in gd[p.clone()].iter().zip(&xhd[p]) {
+                    sum_dy += dy;
+                    sum_dy_xhat += dy * xh;
                 }
             }
             dgamma[ch] += sum_dy_xhat;
             dbeta[ch] += sum_dy;
             let k = gamma[ch] * cache.inv_std[ch];
             for ni in 0..n {
-                for hy in 0..h {
-                    for wx in 0..w {
-                        let dy = grad_out.at4(ni, ch, hy, wx);
-                        let xh = cache.x_hat.at4(ni, ch, hy, wx);
-                        *dx.at4_mut(ni, ch, hy, wx) = k * (dy - sum_dy / m - xh * sum_dy_xhat / m);
-                    }
+                let p = plane(c, hw, ni, ch);
+                let (gp, hp) = (&gd[p.clone()], &xhd[p.clone()]);
+                for ((&dy, &xh), d) in gp.iter().zip(hp).zip(&mut dx.data_mut()[p]) {
+                    *d = k * (dy - sum_dy / m - xh * sum_dy_xhat / m);
                 }
             }
         }
@@ -188,6 +191,108 @@ mod tests {
         let y = bn.forward(&x, false);
         // With zero-centred training data, eval(0) ≈ beta = 0.
         assert!(y.data()[0].abs() < 0.5);
+    }
+
+    /// Oracle outputs of one train forward, backward and eval forward.
+    struct Naive {
+        y: Vec<f32>,
+        running: Vec<f32>,
+        dx: Vec<f32>,
+        dparams: Vec<f32>,
+        y_eval: Vec<f32>,
+    }
+
+    /// BatchNorm written as per-element `at4` loops over `(n, h, w)`
+    /// for each channel, the order the plane walks must reproduce.
+    fn naive(x: &Tensor, g: &Tensor, gamma: &[f32], beta: &[f32], probe: &Tensor) -> Naive {
+        let (n, c, h, w) = x.dims4();
+        let (eps, mom, count) = (1e-5f32, 0.1f32, (n * h * w) as f32);
+        let idx = |ni: usize| (0..h).flat_map(move |hy| (0..w).map(move |wx| (ni, hy, wx)));
+        let all = || (0..n).flat_map(idx);
+        let (mut y, mut x_hat, mut dx) =
+            (Tensor::zeros(x.shape()), Tensor::zeros(x.shape()), Tensor::zeros(x.shape()));
+        let mut y_eval = Tensor::zeros(probe.shape());
+        let (mut running, mut dparams) = (Vec::new(), Vec::new());
+        for ch in 0..c {
+            let mut mean = 0.0f32;
+            for (ni, hy, wx) in all() {
+                mean += x.at4(ni, ch, hy, wx);
+            }
+            mean /= count;
+            let mut var = 0.0f32;
+            for (ni, hy, wx) in all() {
+                let d = x.at4(ni, ch, hy, wx) - mean;
+                var += d * d;
+            }
+            var /= count;
+            let istd = 1.0 / (var + eps).sqrt();
+            for (ni, hy, wx) in all() {
+                let xh = (x.at4(ni, ch, hy, wx) - mean) * istd;
+                *x_hat.at4_mut(ni, ch, hy, wx) = xh;
+                *y.at4_mut(ni, ch, hy, wx) = gamma[ch] * xh + beta[ch];
+            }
+            let (rm, rv) = ((1.0 - mom) * 0.0 + mom * mean, (1.0 - mom) * 1.0 + mom * var);
+            running.extend([rm, rv]);
+            let (mut sum_dy, mut sum_dy_xhat) = (0.0f32, 0.0f32);
+            for (ni, hy, wx) in all() {
+                sum_dy += g.at4(ni, ch, hy, wx);
+                sum_dy_xhat += g.at4(ni, ch, hy, wx) * x_hat.at4(ni, ch, hy, wx);
+            }
+            dparams.extend([sum_dy_xhat, sum_dy]);
+            let k = gamma[ch] * istd;
+            for (ni, hy, wx) in all() {
+                let (dy, xh) = (g.at4(ni, ch, hy, wx), x_hat.at4(ni, ch, hy, wx));
+                *dx.at4_mut(ni, ch, hy, wx) = k * (dy - sum_dy / count - xh * sum_dy_xhat / count);
+            }
+            let eval_istd = 1.0 / (rv + eps).sqrt();
+            let (pn, _, ph, pw) = probe.dims4();
+            for ni in 0..pn {
+                for (hy, wx) in (0..ph).flat_map(|hy| (0..pw).map(move |wx| (hy, wx))) {
+                    let xh = (probe.at4(ni, ch, hy, wx) - rm) * eval_istd;
+                    *y_eval.at4_mut(ni, ch, hy, wx) = gamma[ch] * xh + beta[ch];
+                }
+            }
+        }
+        Naive {
+            y: y.data().to_vec(),
+            running,
+            dx: dx.data().to_vec(),
+            dparams,
+            y_eval: y_eval.data().to_vec(),
+        }
+    }
+
+    fn assert_bits(what: &str, got: &[f32], want: &[f32]) {
+        assert_eq!(got.len(), want.len(), "{what}");
+        for (i, (a, b)) in got.iter().zip(want).enumerate() {
+            assert_eq!(a.to_bits(), b.to_bits(), "{what}[{i}]: {a} vs {b}");
+        }
+    }
+
+    #[test]
+    fn plane_walks_match_the_at4_loops_bit_for_bit() {
+        let mut rng = StdRng::seed_from_u64(5);
+        for &(n, c, h, w) in &[(1, 1, 1, 1), (3, 2, 5, 3), (8, 16, 8, 8), (2, 5, 1, 7)] {
+            let mut bn = BatchNorm2d::new(c);
+            let (gamma, beta) =
+                (Tensor::kaiming(&[c], 2, &mut rng), Tensor::kaiming(&[c], 2, &mut rng));
+            bn.gamma.value = gamma.clone();
+            bn.beta.value = beta.clone();
+            let x = Tensor::kaiming(&[n, c, h, w], 4, &mut rng);
+            let g = Tensor::kaiming(&[n, c, h, w], 4, &mut rng);
+            let probe = Tensor::kaiming(&[2, c, h, w], 4, &mut rng);
+            let want = naive(&x, &g, gamma.data(), beta.data(), &probe);
+
+            assert_bits("train y", bn.forward(&x, true).data(), &want.y);
+            let running: Vec<f32> =
+                (0..c).flat_map(|ch| [bn.running_mean[ch], bn.running_var[ch]]).collect();
+            assert_bits("running stats", &running, &want.running);
+            assert_bits("dx", bn.backward(&g).data(), &want.dx);
+            let dparams: Vec<f32> =
+                (0..c).flat_map(|ch| [bn.gamma.grad.data()[ch], bn.beta.grad.data()[ch]]).collect();
+            assert_bits("dgamma/dbeta", &dparams, &want.dparams);
+            assert_bits("eval y", bn.forward(&probe, false).data(), &want.y_eval);
+        }
     }
 
     #[test]

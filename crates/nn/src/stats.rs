@@ -5,9 +5,9 @@
 //! forward/backward on the thread driving the training loop, so the
 //! loop snapshots [`NnStats::snapshot`] before training and reads the
 //! delta with [`NnStats::since`] afterwards without interference from
-//! other tests or runs sharing the process. Kernel worker threads
-//! never record — each layer records its whole-call FLOP count and
-//! elapsed wall time on the calling thread.
+//! other tests or runs sharing the process. The dense kernels run on
+//! the calling thread too, and each layer records its whole-call FLOP
+//! count and elapsed wall time there.
 
 use std::cell::Cell;
 use std::time::Duration;

@@ -22,11 +22,12 @@ impl Tensor {
     ///
     /// # Panics
     ///
-    /// Panics when `data.len()` does not match the shape volume.
+    /// Panics when `data.len()` does not match the shape volume, or
+    /// the volume overflows `usize`.
     pub fn from_vec(shape: &[usize], data: Vec<f32>) -> Self {
         assert_eq!(
-            data.len(),
-            shape.iter().product::<usize>(),
+            Some(data.len()),
+            shape.iter().try_fold(1usize, |v, &d| v.checked_mul(d)),
             "data length must match shape volume"
         );
         Tensor { shape: shape.to_vec(), data }
