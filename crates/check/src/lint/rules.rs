@@ -61,9 +61,11 @@ pub const WALL_CLOCK_PATHS: [&str; 8] = [
 ];
 
 /// Files where `hash-iter` applies: everything that serializes state
-/// (checkpoint codecs, telemetry JSONL) or exports cache contents.
-pub const HASH_ITER_PATHS: [&str; 8] = [
+/// (checkpoint codecs, the JSON codec, telemetry JSONL) or exports
+/// cache contents.
+pub const HASH_ITER_PATHS: [&str; 9] = [
     "crates/ckpt/src/",
+    "crates/obs/src/json.rs",
     "crates/telemetry/src/",
     "crates/core/src/ckpt.rs",
     "crates/core/src/cache.rs",
@@ -74,16 +76,19 @@ pub const HASH_ITER_PATHS: [&str; 8] = [
 ];
 
 /// Files where `panic-path` applies: paths that read untrusted bytes.
-/// The job server's routing, JSON codec and state-mutation layers are
-/// all on the request path of a long-running daemon; the network
-/// snapshot readers decode files from disk.
-pub const PANIC_PATH_PATHS: [&str; 6] = [
+/// The job server's routing and state-mutation layers and the JSON
+/// codec are all on the request path of a long-running daemon; the
+/// network snapshot readers decode files from disk; the telemetry
+/// event parser and report read arbitrary JSONL for `rlmul report`.
+pub const PANIC_PATH_PATHS: [&str; 8] = [
     "crates/obs/src/http.rs",
+    "crates/obs/src/json.rs",
     "crates/serve/src/api.rs",
-    "crates/serve/src/json.rs",
     "crates/serve/src/server.rs",
     "crates/nn/src/io.rs",
     "crates/nn/src/ckpt.rs",
+    "crates/telemetry/src/event.rs",
+    "crates/telemetry/src/report.rs",
 ];
 
 /// Files where `trace-ctx` applies: the job server plus the core
@@ -308,7 +313,7 @@ mod tests {
     fn hash_iter_flags_maps_not_substrings() {
         let f = scan("struct MyHashMapLike;\nuse std::collections::HashMap;\n");
         let mut out = Vec::new();
-        check_hash_iter(&f, "crates/telemetry/src/json.rs", &mut out);
+        check_hash_iter(&f, "crates/obs/src/json.rs", &mut out);
         assert_eq!(out.len(), 1, "{out:?}");
         assert_eq!(out[0].line, 2);
     }
@@ -336,7 +341,7 @@ mod tests {
         assert_eq!(lines, vec![1], "{out:?}");
         // Unconfigured files are never flagged.
         out.clear();
-        check_trace_ctx(&f, "crates/telemetry/src/json.rs", &mut out);
+        check_trace_ctx(&f, "crates/obs/src/json.rs", &mut out);
         assert!(out.is_empty(), "{out:?}");
     }
 

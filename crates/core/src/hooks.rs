@@ -133,20 +133,6 @@ pub fn emit_span_events(sink: &TelemetrySink, spans: &[rlmul_obs::SpanStat]) {
     }
 }
 
-/// Mirrors a job's accumulated trace events into JSONL telemetry (one
-/// `trace` record per [`rlmul_obs::TraceEvent`], via
-/// [`Event::trace`]), so offline `rlmul report` runs over a job's log
-/// see the same causal timeline the serve API exposes live.
-pub fn emit_trace_events(sink: &TelemetrySink, trace: &TraceCtx) {
-    if !sink.is_enabled() || !trace.is_enabled() {
-        return;
-    }
-    let id = trace.trace_id().unwrap_or_default().to_string();
-    for e in trace.snapshot() {
-        sink.emit(Event::trace(&id, e.seq, e.micros, &e.kind, &e.detail));
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

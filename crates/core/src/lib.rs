@@ -69,7 +69,7 @@ pub use env::{
     StepOutcome,
 };
 pub use error::RlMulError;
-pub use hooks::{emit_span_events, emit_trace_events, TrainHooks};
+pub use hooks::{emit_span_events, TrainHooks};
 pub use outcome::{LintStats, NnStats, OptimizationOutcome, PipelineStats};
 pub use reward::CostWeights;
 pub use sa_driver::{resume_sa, run_sa, run_sa_cached, run_sa_with, SaSnapshot};

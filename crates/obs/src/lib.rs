@@ -27,6 +27,9 @@
 //!   timeline; disabled by default with the same one-branch
 //!   discipline as the registry. The `rlmul serve` daemon mints one
 //!   per job and streams it live over `GET /jobs/<id>/events`.
+//! * [`json`] — the workspace's one JSON codec: the job API's bodies,
+//!   the per-job trace renderer and the JSONL telemetry log all read
+//!   and write through it.
 //!
 //! # Example
 //!
@@ -52,6 +55,7 @@
 
 mod flame;
 mod http;
+pub mod json;
 mod prom;
 mod registry;
 mod span;

@@ -23,9 +23,9 @@
 //! degrades to a 4xx/5xx answer, never a dead serving thread.
 
 use crate::job::{JobSpec, JobState};
-use crate::json::{json_array, parse_object, JsonBuilder};
 use crate::server::{CancelOutcome, Inner};
 use crate::trace::render_event;
+use rlmul_obs::json::{json_array, parse_object, JsonBuilder};
 use rlmul_obs::{render_prometheus, Handler, HttpRequest, HttpResponse, StreamBody};
 use std::io::Write;
 use std::sync::Arc;

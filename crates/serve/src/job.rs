@@ -29,10 +29,10 @@
 //! when a restarted daemon finds a record claiming `Running` with no
 //! live worker behind it.
 
-use crate::json::{JsonBuilder, JsonObject};
 use rlmul_ckpt::{CkptError, Decoder, Encoder, Record};
 use rlmul_core::CostWeights;
 use rlmul_ct::PpgKind;
+use rlmul_obs::json::{JsonBuilder, JsonObject, JsonValue};
 
 /// The snapshot-record kind tag every job record carries on disk.
 pub const JOB_RECORD_KIND: &str = "job";
@@ -124,6 +124,22 @@ fn kind_parse(s: &str) -> Option<PpgKind> {
     }
 }
 
+/// Reads an optional submission field: `default` when `key` is absent,
+/// `read`'s answer when present, and an error naming the field and the
+/// `expected` shape when `read` refuses the value.
+fn field<'a, T>(
+    o: &'a JsonObject,
+    key: &str,
+    default: T,
+    read: fn(&'a JsonValue) -> Option<T>,
+    expected: &str,
+) -> Result<T, String> {
+    match o.get(key) {
+        None => Ok(default),
+        Some(v) => read(v).ok_or_else(|| format!("`{key}` must be {expected}")),
+    }
+}
+
 /// Everything a client specifies when submitting a job.
 #[derive(Debug, Clone, PartialEq)]
 pub struct JobSpec {
@@ -161,49 +177,53 @@ impl JobSpec {
     /// Upper bound on requested steps.
     pub const MAX_STEPS: usize = 1_000_000;
 
-    /// Builds a spec from a parsed submission body, applying defaults
-    /// and validating every field.
+    /// Builds a spec from a parsed submission body. An absent field
+    /// takes its default; a present one must have the right type and
+    /// range (`null` included), so a mistyped field is never silently
+    /// replaced by its default.
     ///
     /// # Errors
     ///
     /// A human-readable message naming the offending field, suitable
     /// for a 400 response.
     pub fn from_json(o: &JsonObject) -> Result<Self, String> {
-        let bits = o.get_u64("bits").unwrap_or(8) as usize;
-        if !(2..=Self::MAX_BITS).contains(&bits) {
+        let bits = field(o, "bits", 8, JsonValue::as_u64, "an unsigned integer")?;
+        if !(2..=Self::MAX_BITS as u64).contains(&bits) {
             return Err(format!("`bits` must be in 2..={} (got {bits})", Self::MAX_BITS));
         }
-        let kind_str = o.get_str("kind").unwrap_or("and");
+        let kind_str = field(o, "kind", "and", JsonValue::as_str, "a string")?;
         let Some(kind) = kind_parse(kind_str) else {
             return Err(format!("unknown `kind` `{kind_str}` (and|mbe|mac-and|mac-mbe)"));
         };
-        let method_str = o.get_str("method").unwrap_or("sa");
+        let method_str = field(o, "method", "sa", JsonValue::as_str, "a string")?;
         let Some(method) = Method::parse(method_str) else {
             return Err(format!("unknown `method` `{method_str}` (sa|dqn|a2c)"));
         };
-        let steps = o.get_u64("steps").unwrap_or(40) as usize;
-        if !(1..=Self::MAX_STEPS).contains(&steps) {
+        let steps = field(o, "steps", 40, JsonValue::as_u64, "an unsigned integer")?;
+        if !(1..=Self::MAX_STEPS as u64).contains(&steps) {
             return Err(format!("`steps` must be in 1..={} (got {steps})", Self::MAX_STEPS));
         }
-        let pref_str = o.get_str("pref").unwrap_or("tradeoff");
+        let pref_str = field(o, "pref", "tradeoff", JsonValue::as_str, "a string")?;
         let Some(pref) = Pref::parse(pref_str) else {
             return Err(format!("unknown `pref` `{pref_str}` (area|timing|tradeoff)"));
         };
-        let priority = match o.get_u64("priority").unwrap_or(0) {
+        let priority = match field(o, "priority", 0, JsonValue::as_u64, "an unsigned integer")? {
             p @ 0..=255 => p as u8,
             p => return Err(format!("`priority` must be in 0..=255 (got {p})")),
         };
         Ok(JobSpec {
-            bits,
+            bits: bits as usize,
             kind,
             method,
-            steps,
-            seed: o.get_u64("seed").unwrap_or(1),
+            steps: steps as usize,
+            seed: field(o, "seed", 1, JsonValue::as_u64, "an integer in 0..2^64")?,
             pref,
             priority,
-            tenant: o.get_str("tenant").unwrap_or("default").to_owned(),
-            idempotency_key: o.get_str("idempotency_key").unwrap_or("").to_owned(),
-            ckpt_every: o.get_u64("ckpt_every").unwrap_or(10) as usize,
+            tenant: field(o, "tenant", "default", JsonValue::as_str, "a string")?.to_owned(),
+            idempotency_key: field(o, "idempotency_key", "", JsonValue::as_str, "a string")?
+                .to_owned(),
+            ckpt_every: field(o, "ckpt_every", 10, JsonValue::as_u64, "an unsigned integer")?
+                as usize,
         })
     }
 
@@ -483,7 +503,7 @@ impl Record for JobRecord {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::json::parse_object;
+    use rlmul_obs::json::parse_object;
 
     fn spec() -> JobSpec {
         JobSpec::from_json(&parse_object(br#"{"bits":4,"steps":6}"#).unwrap()).unwrap()
@@ -506,6 +526,42 @@ mod tests {
             let o = parse_object(bad).unwrap();
             assert!(JobSpec::from_json(&o).is_err(), "{:?}", String::from_utf8_lossy(bad));
         }
+    }
+
+    #[test]
+    fn mistyped_fields_are_errors_not_defaults() {
+        for (bad, key) in [
+            (br#"{"bits":"16"}"#.as_slice(), "bits"),
+            (br#"{"tenant":5}"#.as_slice(), "tenant"),
+            (br#"{"idempotency_key":7}"#.as_slice(), "idempotency_key"),
+            (br#"{"seed":-1}"#.as_slice(), "seed"),
+            (br#"{"seed":18446744073709551616}"#.as_slice(), "seed"),
+            (br#"{"seed":0.5}"#.as_slice(), "seed"),
+            (br#"{"steps":null}"#.as_slice(), "steps"),
+            (br#"{"kind":["and"]}"#.as_slice(), "kind"),
+            (br#"{"method":true}"#.as_slice(), "method"),
+            (br#"{"pref":1}"#.as_slice(), "pref"),
+            (br#"{"priority":-2}"#.as_slice(), "priority"),
+            (br#"{"ckpt_every":"5"}"#.as_slice(), "ckpt_every"),
+        ] {
+            let o = parse_object(bad).unwrap();
+            let err = JobSpec::from_json(&o).unwrap_err();
+            assert!(err.contains(&format!("`{key}`")), "{}: {err}", String::from_utf8_lossy(bad));
+        }
+    }
+
+    #[test]
+    fn present_fields_are_read_exactly() {
+        let o = parse_object(
+            br#"{"bits":8.0,"seed":9007199254740993,"tenant":"acme","idempotency_key":"k1"}"#,
+        )
+        .unwrap();
+        let s = JobSpec::from_json(&o).unwrap();
+        assert_eq!(s.bits, 8, "a whole float still reads as an integer");
+        assert_eq!(s.seed, 9_007_199_254_740_993);
+        assert_eq!((s.tenant.as_str(), s.idempotency_key.as_str()), ("acme", "k1"));
+        let max = parse_object(br#"{"seed":18446744073709551615}"#).unwrap();
+        assert_eq!(JobSpec::from_json(&max).unwrap().seed, u64::MAX);
     }
 
     #[test]

@@ -27,7 +27,8 @@
 //! * [`server`] — the daemon: recovery, worker pool, HTTP front end;
 //! * [`api`] — the HTTP route table (documented route-by-route in
 //!   DESIGN.md §16);
-//! * [`json`] — the dependency-free flat JSON codec the API speaks;
+//! * [`json`] — re-export of [`rlmul_obs::json`], the JSON codec the
+//!   API speaks;
 //! * [`trace`] — durable per-job traces: the persisted record and the
 //!   rendering shared by `GET /jobs/:id/trace` and the live
 //!   `GET /jobs/:id/events` stream;
@@ -56,10 +57,11 @@
 pub mod api;
 pub mod client;
 pub mod job;
-pub mod json;
 pub mod queue;
 pub mod server;
 pub mod trace;
+
+pub use rlmul_obs::json;
 
 pub use job::{JobRecord, JobResult, JobSpec, JobState, Method, Pref, JOB_RECORD_KIND};
 pub use queue::JobQueue;

@@ -16,8 +16,8 @@
 //! a live stream observed during a run matches the stored trace
 //! event-for-event, byte-for-byte.
 
-use crate::json::{json_array, JsonBuilder};
 use rlmul_ckpt::{CkptError, Decoder, Encoder, Record};
+use rlmul_obs::json::{json_array, JsonBuilder};
 use rlmul_obs::{TraceCtx, TraceEvent};
 
 /// The snapshot-record kind tag every trace record carries on disk.
@@ -124,7 +124,7 @@ impl Record for TraceRecord {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::json::parse_object;
+    use rlmul_obs::json::parse_object;
 
     fn sample() -> TraceRecord {
         let ctx = TraceCtx::new("tr-00000003.1");

@@ -204,6 +204,34 @@ fn http_error_contract() {
 }
 
 #[test]
+fn submitted_seeds_keep_full_integer_precision() {
+    let dir = tmpdir("seed-precision");
+    let (server, addr) = start(&dir, 1);
+    // 2^53 + 1 has no exact f64: a float-typed parser would run seed 2^53.
+    let (code, id, payload) = submit(&addr, r#"{"bits":4,"steps":1,"seed":9007199254740993}"#);
+    assert_eq!(code, 201, "{payload}");
+    let (code, status) = http_call(&addr, "GET", &format!("/jobs/{id}"), "").unwrap();
+    assert_eq!(code, 200, "{status}");
+    assert!(status.contains("\"seed\":9007199254740993,"), "{status}");
+    server.shutdown();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn out_of_range_seed_is_a_bad_request() {
+    let dir = tmpdir("seed-range");
+    let (server, addr) = start(&dir, 1);
+    // 2^64 does not fit a seed: a 400 naming the field, not u64::MAX.
+    let (code, payload) =
+        http_call(&addr, "POST", "/jobs", r#"{"bits":4,"steps":1,"seed":18446744073709551616}"#)
+            .unwrap();
+    assert_eq!(code, 400, "{payload}");
+    assert!(payload.contains("`seed`"), "{payload}");
+    server.shutdown();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
 fn clean_restart_recovers_queued_and_running_jobs() {
     let dir = tmpdir("restart");
     let first_id;

@@ -4,11 +4,13 @@
 //! only way to diagnose a reward collapse or a cache regression after
 //! the fact. This crate provides:
 //!
-//! * [`Event`] — a flat, ordered key → [`Value`] record with a kind
-//!   tag and a monotonic sequence number;
-//! * a hand-rolled JSON encoder/parser pair ([`Event::to_json`],
-//!   [`Event::parse_json`]) — one JSON object per line, no external
-//!   dependencies, lossless for the value types used;
+//! * [`Event`] — a flat, ordered key →
+//!   [`JsonValue`](rlmul_obs::json::JsonValue) record with a
+//!   kind tag and a monotonic sequence number;
+//! * its JSONL form ([`Event::to_json`], [`Event::parse_json`]) — one
+//!   JSON object per line, written and read through the workspace's
+//!   one codec ([`rlmul_obs::json`]), lossless for the value types
+//!   used;
 //! * [`TelemetrySink`] — a cheaply cloneable handle the environment,
 //!   agents and drivers emit into. The disabled sink
 //!   ([`TelemetrySink::disabled`]) reduces every emit to a single
@@ -26,7 +28,8 @@
 //! # Example
 //!
 //! ```
-//! use rlmul_telemetry::{Event, Value};
+//! use rlmul_obs::json::JsonValue;
+//! use rlmul_telemetry::Event;
 //!
 //! let e = Event::new("episode")
 //!     .with("step", 3u64)
@@ -36,7 +39,7 @@
 //! let back = Event::parse_json(&line)?;
 //! assert_eq!(back.kind(), "episode");
 //! assert_eq!(back.get_f64("reward"), Some(0.25));
-//! assert_eq!(back.get("kind"), Some(&Value::Str("and".into())));
+//! assert_eq!(back.get("kind"), Some(&JsonValue::Str("and".into())));
 //! # Ok::<(), rlmul_telemetry::TelemetryError>(())
 //! ```
 
@@ -44,10 +47,9 @@
 #![deny(missing_docs)]
 
 mod event;
-mod json;
 mod report;
 mod sink;
 
-pub use event::{Event, TelemetryError, Value};
+pub use event::{Event, TelemetryError};
 pub use report::Summary;
 pub use sink::{TelemetrySink, TelemetryWriter};

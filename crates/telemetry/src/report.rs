@@ -2,7 +2,6 @@
 //! prints.
 
 use crate::event::Event;
-use crate::json::parse_json;
 use std::collections::BTreeMap;
 
 /// Running min/mean/max/last over a stream of samples.
@@ -125,7 +124,7 @@ impl Summary {
             if line.trim().is_empty() {
                 continue;
             }
-            match parse_json(line) {
+            match Event::parse_json(line) {
                 Ok(e) => s.observe(&e),
                 Err(_) => s.malformed += 1,
             }

@@ -1,7 +1,6 @@
 //! The non-blocking ring-buffered JSONL writer.
 
 use crate::event::Event;
-use crate::json::to_json;
 use rlmul_check::sync::{spawn_named, Condvar, JoinHandle, Mutex};
 use std::collections::VecDeque;
 use std::fmt::Write as _;
@@ -82,7 +81,7 @@ impl TelemetrySink {
         // in the opposite order of their seq values, so the log was
         // not sorted by "seq". Splicing the field in keeps the
         // serialized bytes identical to building the event with it.
-        let mut line = to_json(&event);
+        let mut line = event.to_json();
         let mut state = ring.state.lock();
         if state.closing {
             return;
@@ -254,7 +253,7 @@ fn writer_loop(ring: &Ring, mut output: Box<dyn Write + Send>) -> io::Result<()>
             .with("buffer_hwm", hwm)
             .with("seq", ring.seq.fetch_add(1, Ordering::Relaxed));
         result =
-            output.write_all(to_json(&stats).as_bytes()).and_then(|()| output.write_all(b"\n"));
+            output.write_all(stats.to_json().as_bytes()).and_then(|()| output.write_all(b"\n"));
     }
     result.and(output.flush())
 }
@@ -262,7 +261,6 @@ fn writer_loop(ring: &Ring, mut output: Box<dyn Write + Send>) -> io::Result<()>
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::json::parse_json;
 
     /// A Write sink shared with the test through an Arc<Mutex<_>>.
     #[derive(Clone, Default)]
@@ -291,11 +289,11 @@ mod tests {
         let lines: Vec<_> = text.lines().collect();
         assert_eq!(lines.len(), 11, "10 events + the final writer_stats record");
         for (i, line) in lines.iter().take(10).enumerate() {
-            let e = parse_json(line).unwrap();
+            let e = Event::parse_json(line).unwrap();
             assert_eq!(e.get_u64("i"), Some(i as u64));
             assert_eq!(e.get_u64("seq"), Some(i as u64));
         }
-        let stats = parse_json(lines[10]).unwrap();
+        let stats = Event::parse_json(lines[10]).unwrap();
         assert_eq!(stats.kind(), "writer_stats");
         assert_eq!(stats.get_u64("written"), Some(10));
         assert_eq!(stats.get_u64("dropped"), Some(0));
@@ -321,10 +319,10 @@ mod tests {
         let written = (lines.len() - 1) as u64; // minus the writer_stats record
         assert_eq!(written + dropped, 10_000);
         // The final data record always survives (drop-oldest policy).
-        let last_data = parse_json(lines[lines.len() - 2]).unwrap();
+        let last_data = Event::parse_json(lines[lines.len() - 2]).unwrap();
         assert_eq!(last_data.get_u64("i"), Some(9_999));
         // The trailing writer_stats record accounts for the loss.
-        let stats = parse_json(lines[lines.len() - 1]).unwrap();
+        let stats = Event::parse_json(lines[lines.len() - 1]).unwrap();
         assert_eq!(stats.kind(), "writer_stats");
         assert_eq!(stats.get_u64("written"), Some(written));
         assert_eq!(stats.get_u64("dropped"), Some(dropped));

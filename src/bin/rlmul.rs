@@ -506,8 +506,8 @@ fn cmd_serve(opts: &HashMap<String, String>) -> CliResult {
 /// uses. Each event's duration is the gap to the next event — the
 /// phase the event opened.
 fn cmd_trace(tokens: &[String], opts: &HashMap<String, String>) -> CliResult {
+    use rlmul::obs::json::{parse_object, parse_object_array, JsonObject, JsonValue};
     use rlmul::obs::SpanStat;
-    use rlmul::serve::json::{parse_object, parse_object_array, JsonValue};
 
     let id: u64 = tokens
         .iter()
@@ -535,7 +535,7 @@ fn cmd_trace(tokens: &[String], opts: &HashMap<String, String>) -> CliResult {
     if events.is_empty() {
         return Ok(());
     }
-    let micros_of = |o: &rlmul::serve::json::JsonObject| o.get_u64("micros").unwrap_or(0);
+    let micros_of = |o: &JsonObject| o.get_u64("micros").unwrap_or(0);
     let t0 = micros_of(&events[0]);
     println!("{:>5} {:>10} {:>10}  {:<20} detail", "seq", "t+ms", "dur_ms", "kind");
     for (i, e) in events.iter().enumerate() {
