@@ -78,13 +78,17 @@ pub const HASH_ITER_PATHS: [&str; 9] = [
 /// Files where `panic-path` applies: paths that read untrusted bytes.
 /// The job server's routing and state-mutation layers and the JSON
 /// codec are all on the request path of a long-running daemon; the
-/// network snapshot readers decode files from disk; the telemetry
-/// event parser and report read arbitrary JSONL for `rlmul report`.
-pub const PANIC_PATH_PATHS: [&str; 8] = [
+/// job log's replay, recovery and frame reader decode whatever a crash
+/// left on disk; the network snapshot readers decode files from disk;
+/// the telemetry event parser and report read arbitrary JSONL for
+/// `rlmul report`.
+pub const PANIC_PATH_PATHS: [&str; 10] = [
     "crates/obs/src/http.rs",
     "crates/obs/src/json.rs",
     "crates/serve/src/api.rs",
     "crates/serve/src/server.rs",
+    "crates/ckpt/src/log.rs",
+    "crates/ckpt/src/file.rs",
     "crates/nn/src/io.rs",
     "crates/nn/src/ckpt.rs",
     "crates/telemetry/src/event.rs",

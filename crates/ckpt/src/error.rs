@@ -39,6 +39,17 @@ pub enum CkptError {
         /// Number of unconsumed bytes.
         remaining: usize,
     },
+    /// A log frame failed verification and a valid frame follows it:
+    /// the damage sits mid-log rather than in a torn tail, so the log
+    /// is refused instead of losing the frames after it.
+    DamagedLog {
+        /// Byte offset of the damaged frame.
+        offset: u64,
+        /// Byte offset of the next valid frame.
+        next_valid: u64,
+        /// Why the frame failed to verify.
+        cause: String,
+    },
     /// An operating-system I/O failure.
     Io(io::Error),
 }
@@ -58,6 +69,11 @@ impl fmt::Display for CkptError {
             CkptError::TrailingBytes { remaining } => {
                 write!(f, "snapshot has {remaining} trailing byte(s) after the last record")
             }
+            CkptError::DamagedLog { offset, next_valid, cause } => write!(
+                f,
+                "log damaged at byte {offset} ({cause}); a valid frame follows at byte \
+                 {next_valid}, so this is not a torn tail and nothing is dropped"
+            ),
             CkptError::Io(e) => write!(f, "snapshot i/o: {e}"),
         }
     }

@@ -50,17 +50,7 @@ pub fn write_snapshot<R: Record, P: AsRef<Path>>(
     let path = path.as_ref();
     let mut enc = Encoder::new();
     record.encode(&mut enc);
-    let payload = enc.into_bytes();
-
-    let mut frame = Vec::with_capacity(payload.len() + 64);
-    frame.extend_from_slice(MAGIC);
-    frame.extend_from_slice(&FORMAT_VERSION.to_le_bytes());
-    frame.extend_from_slice(&(kind.len() as u64).to_le_bytes());
-    frame.extend_from_slice(kind.as_bytes());
-    frame.extend_from_slice(&(payload.len() as u64).to_le_bytes());
-    frame.extend_from_slice(&payload);
-    let crc = crc32(&frame);
-    frame.extend_from_slice(&crc.to_le_bytes());
+    let frame = frame(kind, &enc.into_bytes());
 
     if let Some(dir) = path.parent().filter(|d| !d.as_os_str().is_empty()) {
         fs::create_dir_all(dir)?;
@@ -98,18 +88,52 @@ pub fn read_snapshot<R: Record, P: AsRef<Path>>(
     expected_kind: &str,
 ) -> Result<R, CkptError> {
     let bytes = fs::read(path.as_ref())?;
+    let (kind, payload) = unframe(&bytes)?;
+    if kind != expected_kind {
+        return Err(CkptError::WrongFormat {
+            what: format!("snapshot kind `{kind}` (expected `{expected_kind}`)"),
+        });
+    }
+    R::from_bytes(payload)
+}
+
+/// Wraps `payload` in one frame tagged `kind` (the layout in the
+/// module docs). Snapshot files hold exactly one frame; the job log
+/// holds a sequence of them.
+pub(crate) fn frame(kind: &str, payload: &[u8]) -> Vec<u8> {
+    let mut frame = Vec::with_capacity(payload.len() + kind.len() + FRAME_OVERHEAD);
+    frame.extend_from_slice(MAGIC);
+    frame.extend_from_slice(&FORMAT_VERSION.to_le_bytes());
+    frame.extend_from_slice(&(kind.len() as u64).to_le_bytes());
+    frame.extend_from_slice(kind.as_bytes());
+    frame.extend_from_slice(&(payload.len() as u64).to_le_bytes());
+    frame.extend_from_slice(payload);
+    let crc = crc32(&frame);
+    frame.extend_from_slice(&crc.to_le_bytes());
+    frame
+}
+
+/// Bytes a frame adds around its kind and payload: magic, version,
+/// two length prefixes and the CRC.
+pub(crate) const FRAME_OVERHEAD: usize = 8 + 4 + 8 + 8 + 4;
+
+/// Verifies one whole frame and returns its kind and payload.
+///
+/// # Errors
+///
+/// [`CkptError::WrongFormat`] for bad magic or another format version,
+/// [`CkptError::Corrupted`] for a CRC mismatch, and the decoder's
+/// errors for inconsistent length fields.
+pub(crate) fn unframe(bytes: &[u8]) -> Result<(String, &[u8]), CkptError> {
     if bytes.len() < MAGIC.len() + 4 {
         return Err(CkptError::WrongFormat { what: "file shorter than the header".into() });
     }
     if &bytes[..MAGIC.len()] != MAGIC {
         return Err(CkptError::WrongFormat { what: "bad magic (not an RL-MUL snapshot)".into() });
     }
-    if bytes.len() < 4 {
-        return Err(CkptError::WrongFormat { what: "missing trailing CRC".into() });
-    }
     // Verify integrity before trusting any length field.
     let (body, crc_bytes) = bytes.split_at(bytes.len() - 4);
-    let stored = u32::from_le_bytes(crc_bytes.try_into().expect("4 bytes"));
+    let stored = crc_bytes.iter().rev().fold(0u32, |acc, &b| acc << 8 | u32::from(b));
     let computed = crc32(body);
     if stored != computed {
         return Err(CkptError::Corrupted { stored, computed });
@@ -123,14 +147,9 @@ pub fn read_snapshot<R: Record, P: AsRef<Path>>(
         });
     }
     let kind = dec.get_str()?;
-    if kind != expected_kind {
-        return Err(CkptError::WrongFormat {
-            what: format!("snapshot kind `{kind}` (expected `{expected_kind}`)"),
-        });
-    }
     let payload = dec.get_bytes()?;
     dec.finish()?;
-    R::from_bytes(payload)
+    Ok((kind, payload))
 }
 
 #[cfg(test)]

@@ -18,7 +18,11 @@
 //!   and then renamed over the destination, so a crash mid-write
 //!   never corrupts the previous snapshot;
 //! * [`SnapshotStore`] — rolling `latest`/`best` snapshots plus
-//!   optional step-tagged history inside one run directory.
+//!   optional step-tagged history inside one run directory, or the
+//!   latest snapshot of one job inside a [`Log`];
+//! * [`Log`] — one append-only, group-committed file of keyed frames
+//!   over a [`Storage`], with crash recovery and compaction; the job
+//!   server keeps all of its state in one.
 //!
 //! # Example
 //!
@@ -54,10 +58,12 @@ mod codec;
 mod crc;
 mod error;
 mod file;
+mod log;
 mod store;
 
 pub use codec::{Decoder, Encoder, Record};
 pub use crc::crc32;
 pub use error::CkptError;
 pub use file::{read_snapshot, write_snapshot, FORMAT_VERSION, MAGIC};
+pub use log::{DirStorage, Log, LogFile, Lsn, Storage};
 pub use store::SnapshotStore;

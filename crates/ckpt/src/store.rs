@@ -1,11 +1,17 @@
-//! Rolling snapshot management for one run directory.
+//! Rolling snapshot management for one run: a directory of files, or
+//! one job's key inside a [`Log`].
 
 use crate::codec::Record;
 use crate::file::{read_snapshot, write_snapshot};
+use crate::log::Log;
 use crate::CkptError;
+use std::io;
 use std::path::{Path, PathBuf};
+use std::sync::Arc;
 
-/// Manages the snapshots of one training run inside a directory:
+/// Manages the snapshots of one training run.
+///
+/// The directory store ([`SnapshotStore::new`]) keeps:
 ///
 /// * `latest.ckpt` — rolled on every periodic checkpoint and on
 ///   shutdown; the file `resume` starts from;
@@ -17,22 +23,41 @@ use std::path::{Path, PathBuf};
 /// Every write goes through the atomic tmp + fsync + rename path of
 /// [`write_snapshot`], so a crash at any instant leaves the previous
 /// snapshot intact.
+///
+/// The log store ([`SnapshotStore::in_log`]) keeps only the latest
+/// snapshot, as one frame keyed by the job: appending it costs no
+/// fsync, and the log's next commit makes it durable. Its `best` and
+/// step writes do nothing and its `best` and step reads find nothing —
+/// a job server resumes from `latest` and keeps the best design in the
+/// job's result.
 #[derive(Debug, Clone)]
 pub struct SnapshotStore {
-    dir: PathBuf,
+    place: Place,
     kind: String,
+}
+
+#[derive(Debug, Clone)]
+enum Place {
+    Dir(PathBuf),
+    Log { log: Arc<Log>, key: u64 },
+}
+
+/// What the log store answers for snapshots it does not keep.
+fn not_in_log(what: &str) -> CkptError {
+    CkptError::Io(io::Error::new(io::ErrorKind::NotFound, format!("no {what} snapshot in the log")))
 }
 
 impl SnapshotStore {
     /// A store rooted at `dir`, tagging every snapshot with `kind`.
     /// The directory is created lazily on the first write.
     pub fn new<P: AsRef<Path>>(dir: P, kind: &str) -> Self {
-        SnapshotStore { dir: dir.as_ref().to_path_buf(), kind: kind.to_owned() }
+        SnapshotStore { place: Place::Dir(dir.as_ref().to_path_buf()), kind: kind.to_owned() }
     }
 
-    /// The run directory.
-    pub fn dir(&self) -> &Path {
-        &self.dir
+    /// A store for the snapshots of job `key` inside `log`, as frames
+    /// of record kind `kind`.
+    pub fn in_log(log: Arc<Log>, key: u64, kind: &str) -> Self {
+        SnapshotStore { place: Place::Log { log, key }, kind: kind.to_owned() }
     }
 
     /// The record kind this store reads and writes.
@@ -40,74 +65,108 @@ impl SnapshotStore {
         &self.kind
     }
 
-    /// Path of the rolling latest snapshot.
+    fn file(&self, name: &str) -> PathBuf {
+        match &self.place {
+            Place::Dir(dir) => dir.join(name),
+            Place::Log { log, .. } => log.path(),
+        }
+    }
+
+    /// Path of the rolling latest snapshot (the log file for a log
+    /// store).
     pub fn latest_path(&self) -> PathBuf {
-        self.dir.join("latest.ckpt")
+        self.file("latest.ckpt")
     }
 
-    /// Path of the rolling best snapshot.
+    /// Path of the rolling best snapshot (the log file for a log
+    /// store).
     pub fn best_path(&self) -> PathBuf {
-        self.dir.join("best.ckpt")
+        self.file("best.ckpt")
     }
 
-    /// Atomically rolls `latest.ckpt`.
+    /// Rolls the latest snapshot: atomically replaces `latest.ckpt`,
+    /// or appends a frame to the log.
     ///
     /// # Errors
     ///
     /// Propagates [`CkptError`] from the underlying write.
     pub fn save_latest<R: Record>(&self, record: &R) -> Result<(), CkptError> {
-        write_snapshot(self.latest_path(), &self.kind, record)
+        match &self.place {
+            Place::Dir(_) => write_snapshot(self.latest_path(), &self.kind, record),
+            Place::Log { log, key } => log.append(&self.kind, *key, record).map(drop),
+        }
     }
 
-    /// Atomically rolls `best.ckpt`.
+    /// Atomically rolls `best.ckpt` (nothing for a log store).
     ///
     /// # Errors
     ///
     /// Propagates [`CkptError`] from the underlying write.
     pub fn save_best<R: Record>(&self, record: &R) -> Result<(), CkptError> {
-        write_snapshot(self.best_path(), &self.kind, record)
+        match &self.place {
+            Place::Dir(_) => write_snapshot(self.best_path(), &self.kind, record),
+            Place::Log { .. } => Ok(()),
+        }
     }
 
-    /// Path of the pinned snapshot for `step`.
+    /// Path of the pinned snapshot for `step` (the log file for a log
+    /// store).
     pub fn step_path(&self, step: usize) -> PathBuf {
-        self.dir.join(format!("step-{step:08}.ckpt"))
+        self.file(&format!("step-{step:08}.ckpt"))
     }
 
-    /// Writes a pinned `step-<n>.ckpt` snapshot.
+    /// Writes a pinned `step-<n>.ckpt` snapshot (nothing for a log
+    /// store).
     ///
     /// # Errors
     ///
     /// Propagates [`CkptError`] from the underlying write.
     pub fn save_step<R: Record>(&self, step: usize, record: &R) -> Result<(), CkptError> {
-        write_snapshot(self.step_path(step), &self.kind, record)
+        match &self.place {
+            Place::Dir(_) => write_snapshot(self.step_path(step), &self.kind, record),
+            Place::Log { .. } => Ok(()),
+        }
     }
 
     /// Reads the pinned `step-<n>.ckpt` snapshot.
     ///
     /// # Errors
     ///
-    /// As [`SnapshotStore::load_latest`].
+    /// As [`SnapshotStore::load_latest`]; always [`CkptError::Io`]
+    /// (not found) for a log store.
     pub fn load_step<R: Record>(&self, step: usize) -> Result<R, CkptError> {
-        read_snapshot(self.step_path(step), &self.kind)
+        match &self.place {
+            Place::Dir(_) => read_snapshot(self.step_path(step), &self.kind),
+            Place::Log { .. } => Err(not_in_log("step")),
+        }
     }
 
-    /// Reads `latest.ckpt`.
+    /// Reads the latest snapshot.
     ///
     /// # Errors
     ///
     /// Propagates [`CkptError`] from the underlying read, including
-    /// [`CkptError::Io`] when no snapshot exists yet.
+    /// [`CkptError::Io`] (not found) when no snapshot exists yet.
     pub fn load_latest<R: Record>(&self) -> Result<R, CkptError> {
-        read_snapshot(self.latest_path(), &self.kind)
+        match &self.place {
+            Place::Dir(_) => read_snapshot(self.latest_path(), &self.kind),
+            Place::Log { log, key } => {
+                log.read(&self.kind, *key)?.ok_or_else(|| not_in_log("latest"))
+            }
+        }
     }
 
     /// Reads `best.ckpt`.
     ///
     /// # Errors
     ///
-    /// As [`SnapshotStore::load_latest`].
+    /// As [`SnapshotStore::load_latest`]; always [`CkptError::Io`]
+    /// (not found) for a log store.
     pub fn load_best<R: Record>(&self) -> Result<R, CkptError> {
-        read_snapshot(self.best_path(), &self.kind)
+        match &self.place {
+            Place::Dir(_) => read_snapshot(self.best_path(), &self.kind),
+            Place::Log { .. } => Err(not_in_log("best")),
+        }
     }
 }
 

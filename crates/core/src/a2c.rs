@@ -20,7 +20,7 @@ use rlmul_nn::{
     clip_grad_norm, entropy, masked_softmax, restore_net, snapshot_net, Adam, Layer, Linear,
     NetSnapshot, NnStats, Optimizer, Param, Sequential, Tensor, TrunkConfig,
 };
-use rlmul_telemetry::Event;
+use rlmul_telemetry::{Event, TelemetrySink};
 use std::thread::{Scope, ScopedJoinHandle};
 
 /// A2C hyper-parameters. The paper's RL-MUL-E uses four synchronized
@@ -173,9 +173,10 @@ enum Cmd {
     Snapshot,
 }
 
-/// Worker replies, matching [`Cmd`] one-to-one.
+/// Worker replies, matching [`Cmd`] one-to-one. A step reply carries
+/// the telemetry the environment held back during the step.
 enum Reply {
-    Step(Box<Result<StepReply, RlMulError>>),
+    Step(Box<(Result<StepReply, RlMulError>, Vec<Event>)>),
     Snapshot(Box<(EnvSnapshot, WorkingSet)>),
 }
 
@@ -215,13 +216,15 @@ impl<'scope> EnvPool<'scope> {
         let workers = envs
             .into_iter()
             .map(|mut env| {
+                env.hold_telemetry(true);
                 let (tx_cmd, rx_cmd) = channel::<Cmd>("core.pool.cmd");
                 let (tx_reply, rx_reply) = channel("core.pool.reply");
                 let handle = scope.spawn(move || {
                     while let Ok(cmd) = rx_cmd.recv() {
                         let reply = match cmd {
                             Cmd::Step(action) => {
-                                Reply::Step(Box::new(step_reply(&mut env, action)))
+                                let reply = step_reply(&mut env, action);
+                                Reply::Step(Box::new((reply, env.take_held_telemetry())))
                             }
                             Cmd::Snapshot => Reply::Snapshot(Box::new((
                                 env.snapshot(),
@@ -241,8 +244,13 @@ impl<'scope> EnvPool<'scope> {
     }
 
     /// Steps every environment with its action; replies come back in
-    /// environment order regardless of completion order.
-    fn step_all(&mut self, actions: &[usize]) -> Vec<Result<StepReply, RlMulError>> {
+    /// environment order regardless of completion order, and so do the
+    /// workers' telemetry events, which are emitted into `sink` here.
+    fn step_all(
+        &mut self,
+        actions: &[usize],
+        sink: &TelemetrySink,
+    ) -> Vec<Result<StepReply, RlMulError>> {
         match self {
             EnvPool::Serial(envs) => {
                 envs.iter_mut().zip(actions).map(|(env, &a)| step_reply(env, a)).collect()
@@ -254,7 +262,13 @@ impl<'scope> EnvPool<'scope> {
                 workers
                     .iter()
                     .map(|w| match w.rx.recv().expect("worker thread panicked") {
-                        Reply::Step(r) => *r,
+                        Reply::Step(r) => {
+                            let (reply, events) = *r;
+                            for event in events {
+                                sink.emit(event);
+                            }
+                            reply
+                        }
                         Reply::Snapshot(_) => unreachable!("step command answered with snapshot"),
                     })
                     .collect()
@@ -292,7 +306,9 @@ impl<'scope> EnvPool<'scope> {
                 .into_iter()
                 .map(|w| {
                     drop(w.tx);
-                    w.handle.join().expect("worker thread panicked")
+                    let mut env = w.handle.join().expect("worker thread panicked");
+                    env.hold_telemetry(false);
+                    env
                 })
                 .collect(),
         }
@@ -543,7 +559,7 @@ pub fn train_a2c_with(
 
             // Synchronous parallel environment stepping (paper
             // Fig. 6), replies in environment order.
-            let replies = pool.step_all(&chosen);
+            let replies = pool.step_all(&chosen, &hooks.telemetry);
             let mut mean_cost = 0.0;
             let mut mean_reward = 0.0;
             for (i, res) in replies.into_iter().enumerate() {

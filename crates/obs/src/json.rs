@@ -7,8 +7,8 @@
 //!
 //! Scalar values parse into typed [`JsonValue`]s: integers stay exact
 //! (`U64`, then `I64`, and only then `F64`), so a seed above 2^53
-//! survives the trip. Nested objects and arrays are captured verbatim
-//! as [`JsonValue::Raw`] without interpretation; callers that need
+//! survives the trip. Nested objects and arrays are checked against the
+//! full grammar, then captured verbatim as [`JsonValue::Raw`]; callers that need
 //! one re-parse it (a terminal job's status nests its `result`
 //! object, a stored trace nests its `events` array). The builder
 //! exposes the same `raw` splicing for pre-rendered sub-objects.
@@ -21,6 +21,10 @@ use std::fmt::Write as _;
 
 /// 2^64 as an `f64`: the first float [`JsonValue::as_u64`] refuses.
 const TWO_POW_64: f64 = 18_446_744_073_709_551_616.0;
+
+/// Deepest object/array nesting a nested value may have; deeper input
+/// is refused instead of recursing without bound.
+const MAX_DEPTH: usize = 512;
 
 /// A parsed or to-be-rendered JSON value.
 #[derive(Debug, Clone, PartialEq)]
@@ -287,15 +291,19 @@ impl Parser<'_> {
         self.eat(b'"')?;
         let mut out = String::new();
         loop {
-            // Copy the run up to the next quote or backslash whole.
+            // Copy the run up to the next quote, backslash or control
+            // byte whole.
             let run = self.pos;
-            while self.bytes.get(self.pos).is_some_and(|&b| b != b'"' && b != b'\\') {
+            while self.bytes.get(self.pos).is_some_and(|&b| b != b'"' && b != b'\\' && b >= 0x20) {
                 self.pos += 1;
             }
             out.push_str(self.slice(run, self.pos)?);
             let Some(&b) = self.bytes.get(self.pos) else {
                 return Err("unterminated string".into());
             };
+            if b < 0x20 {
+                return Err(format!("raw control byte {b:#04x} in string at byte {}", self.pos));
+            }
             self.pos += 1;
             if b == b'"' {
                 return Ok(out);
@@ -314,16 +322,22 @@ impl Parser<'_> {
                 b'r' => out.push('\r'),
                 b't' => out.push('\t'),
                 b'u' => {
-                    let code = self
-                        .bytes
-                        .get(self.pos..self.pos + 4)
-                        .filter(|h| h.iter().all(u8::is_ascii_hexdigit))
-                        .and_then(|h| std::str::from_utf8(h).ok())
-                        .and_then(|h| u32::from_str_radix(h, 16).ok())
-                        .ok_or_else(|| "bad \\u escape".to_string())?;
-                    self.pos += 4;
-                    // Surrogate pairs never occur in what this codec
-                    // writes; a lone surrogate becomes U+FFFD.
+                    let mut code = self.hex4().ok_or_else(|| "bad \\u escape".to_string())?;
+                    // A high surrogate followed by an escaped low one
+                    // is one character outside the BMP; a lone
+                    // surrogate becomes U+FFFD.
+                    if (0xd800..0xdc00).contains(&code)
+                        && self.bytes.get(self.pos..self.pos + 2) == Some(b"\\u")
+                    {
+                        self.pos += 2;
+                        let low = self.hex4().ok_or_else(|| "bad \\u escape".to_string())?;
+                        if (0xdc00..0xe000).contains(&low) {
+                            code = 0x10000 + ((code - 0xd800) << 10) + (low - 0xdc00);
+                        } else {
+                            out.push('\u{fffd}');
+                            code = low;
+                        }
+                    }
                     out.push(char::from_u32(code).unwrap_or('\u{fffd}'));
                 }
                 other => return Err(format!("unknown escape '\\{}'", other as char)),
@@ -343,17 +357,51 @@ impl Parser<'_> {
         }
     }
 
-    fn number(&mut self) -> Result<JsonValue, String> {
+    /// Reads the four hex digits of a `\\u` escape.
+    fn hex4(&mut self) -> Option<u32> {
+        let hex = self.bytes.get(self.pos..self.pos + 4)?;
+        let code =
+            hex.iter().try_fold(0u32, |acc, &h| Some(acc << 4 | (h as char).to_digit(16)?))?;
+        self.pos += 4;
+        Some(code)
+    }
+
+    /// Skips a run of ASCII digits; returns how many there were.
+    fn digits(&mut self) -> usize {
         let start = self.pos;
-        while self
-            .bytes
-            .get(self.pos)
-            .is_some_and(|b| b.is_ascii_digit() || matches!(b, b'-' | b'+' | b'.' | b'e' | b'E'))
-        {
+        while self.bytes.get(self.pos).is_some_and(u8::is_ascii_digit) {
             self.pos += 1;
         }
+        self.pos - start
+    }
+
+    /// One number in JSON's grammar: `-? (0 | [1-9][0-9]*) (. [0-9]+)?
+    /// ([eE] [+-]? [0-9]+)?`. Integers that fit stay exact integers.
+    fn number(&mut self) -> Result<JsonValue, String> {
+        let start = self.pos;
+        let bad = || format!("invalid number at byte {start}");
+        self.eat_if(b'-');
+        let int_start = self.pos;
+        let int_digits = self.digits();
+        if int_digits == 0 || (int_digits > 1 && self.peek_at(int_start) == Some(b'0')) {
+            return Err(bad());
+        }
+        let mut integral = true;
+        if self.eat_if(b'.') {
+            integral = false;
+            if self.digits() == 0 {
+                return Err(bad());
+            }
+        }
+        if self.eat_if(b'e') || self.eat_if(b'E') {
+            integral = false;
+            let _ = self.eat_if(b'+') || self.eat_if(b'-');
+            if self.digits() == 0 {
+                return Err(bad());
+            }
+        }
         let text = self.slice(start, self.pos)?;
-        if !text.contains(['.', 'e', 'E']) {
+        if integral {
             if let Ok(n) = text.parse::<u64>() {
                 return Ok(JsonValue::U64(n));
             }
@@ -361,42 +409,64 @@ impl Parser<'_> {
                 return Ok(JsonValue::I64(n));
             }
         }
-        text.parse::<f64>().map(JsonValue::F64).map_err(|_| format!("invalid number `{text}`"))
+        text.parse::<f64>().map(JsonValue::F64).map_err(|_| bad())
     }
 
-    /// Captures a nested object or array verbatim. A stack of expected
-    /// closing brackets rejects mismatches like `{"a":[1}`; string
-    /// boundaries are tracked so brackets inside strings don't count.
+    fn peek_at(&self, pos: usize) -> Option<u8> {
+        self.bytes.get(pos).copied()
+    }
+
+    /// Captures a nested object or array verbatim, after checking that
+    /// it is valid JSON throughout.
     fn raw(&mut self) -> Result<JsonValue, String> {
         let start = self.pos;
-        let mut closers = Vec::new();
-        let mut in_string = false;
-        while let Some(&b) = self.bytes.get(self.pos) {
-            self.pos += 1;
-            if in_string {
-                match b {
-                    b'\\' => self.pos += 1, // skip the escaped byte
-                    b'"' => in_string = false,
-                    _ => {}
+        self.skip_nested(0)?;
+        Ok(JsonValue::Raw(self.slice(start, self.pos)?.to_owned()))
+    }
+
+    /// Validates one object or array starting at `self.pos` and moves
+    /// past it. A closer of the wrong kind is reported as mismatched.
+    fn skip_nested(&mut self, depth: usize) -> Result<(), String> {
+        if depth >= MAX_DEPTH {
+            return Err(format!("nesting deeper than {MAX_DEPTH} levels at byte {}", self.pos));
+        }
+        let (close, other) = if self.eat_if(b'{') {
+            (b'}', b']')
+        } else {
+            self.eat(b'[')?;
+            (b']', b'}')
+        };
+        self.skip_ws();
+        if self.eat_if(close) {
+            return Ok(());
+        }
+        loop {
+            self.skip_ws();
+            if close == b'}' {
+                self.string()?;
+                self.skip_ws();
+                self.eat(b':')?;
+                self.skip_ws();
+            }
+            match self.peek_at(self.pos) {
+                Some(b'{' | b'[') => self.skip_nested(depth + 1)?,
+                _ => {
+                    self.value()?;
                 }
+            }
+            self.skip_ws();
+            if self.eat_if(b',') {
                 continue;
             }
-            match b {
-                b'"' => in_string = true,
-                b'{' => closers.push(b'}'),
-                b'[' => closers.push(b']'),
-                b'}' | b']' => {
-                    if closers.pop() != Some(b) {
-                        return Err(format!("mismatched '{}' at byte {}", b as char, self.pos - 1));
-                    }
-                    if closers.is_empty() {
-                        return Ok(JsonValue::Raw(self.slice(start, self.pos)?.to_owned()));
-                    }
-                }
-                _ => {}
+            if self.eat_if(close) {
+                return Ok(());
             }
+            return Err(match self.peek_at(self.pos) {
+                Some(b) if b == other => format!("mismatched '{}' at byte {}", b as char, self.pos),
+                Some(_) => format!("expected ',' or '{}' at byte {}", close as char, self.pos),
+                None => "unterminated nested value".into(),
+            });
         }
-        Err("unterminated nested value".into())
     }
 
     fn literal(&mut self, lit: &str, value: JsonValue) -> Result<JsonValue, String> {

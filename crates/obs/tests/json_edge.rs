@@ -58,6 +58,32 @@ fn lone_surrogate_escape_degrades_to_replacement_char() {
     assert_eq!(o.get_str("s"), Some("\u{fffd}"));
 }
 
+#[test]
+fn escaped_surrogate_pairs_decode_to_one_character() {
+    let o = parse_object(br#"{"s":"\ud83d\ude00","t":"a\uD834\uDD1Eb"}"#).unwrap();
+    assert_eq!(o.get_str("s"), Some("\u{1f600}"));
+    assert_eq!(o.get_str("t"), Some("a\u{1d11e}b"));
+    // A high surrogate followed by anything but a low one stays a
+    // lone surrogate; the following escape still decodes.
+    let o = parse_object(br#"{"s":"\ud83d\u0041"}"#).unwrap();
+    assert_eq!(o.get_str("s"), Some("\u{fffd}A"));
+}
+
+#[test]
+fn raw_control_bytes_in_strings_are_errors() {
+    for body in [
+        b"{\"s\":\"a\nb\"}".as_slice(),
+        b"{\"s\":\"\x01\"}".as_slice(),
+        b"{\"k\tey\":1}".as_slice(),
+        b"{\"v\":{\"s\":\"\x1f\"}}".as_slice(),
+    ] {
+        let err = parse_object(body).expect_err(&String::from_utf8_lossy(body));
+        assert!(err.contains("control byte"), "{err}");
+    }
+    // Escaped, the same characters are fine.
+    assert_eq!(parse_object(br#"{"s":"a\nb"}"#).unwrap().get_str("s"), Some("a\nb"));
+}
+
 // ---------------------------------------------------------------
 // Fixed corpus: deeply nested Raw values
 // ---------------------------------------------------------------
@@ -99,9 +125,49 @@ fn unbalanced_nesting_is_a_clean_error() {
     }
 }
 
+#[test]
+fn nested_values_are_validated_not_just_bracket_counted() {
+    for body in [
+        br#"{"v":{"a":1 2}}"#.as_slice(),
+        br#"{"v":[1 2]}"#.as_slice(),
+        br#"{"v":{"a"}}"#.as_slice(),
+        br#"{"v":{1:2}}"#.as_slice(),
+        br#"{"v":[1,]}"#.as_slice(),
+        br#"{"v":{"a":tru}}"#.as_slice(),
+        br#"{"v":[007]}"#.as_slice(),
+        br#"{"v":{"a":"\x"}}"#.as_slice(),
+    ] {
+        assert!(parse_object(body).is_err(), "{}", String::from_utf8_lossy(body));
+    }
+    let o = parse_object(br#"{"v":{"a":[1,-2.5e3,true,null,{"b":"c"}],"d":{}},"w":[]}"#).unwrap();
+    assert_eq!(o.get("w"), Some(&JsonValue::Raw("[]".into())));
+}
+
+#[test]
+fn nesting_beyond_the_depth_bound_is_a_clean_error() {
+    let deep = format!(r#"{{"v":{}{}}}"#, "[".repeat(100_000), "]".repeat(100_000));
+    assert!(parse_object(deep.as_bytes()).is_err());
+}
+
 // ---------------------------------------------------------------
 // Fixed corpus: integers
 // ---------------------------------------------------------------
+
+#[test]
+fn numbers_follow_the_json_grammar() {
+    for bad in ["+8", "007", "-01", ".5", "1.", "-", "1e", "1e+", "--1", "0x10", "1.e5"] {
+        let body = format!(r#"{{"n":{bad}}}"#);
+        assert!(parse_object(body.as_bytes()).is_err(), "{bad} must be rejected");
+    }
+    let o = parse_object(br#"{"a":0,"b":-0,"c":0.5,"d":1e5,"e":1E+2,"f":-2.5e-3,"g":10}"#).unwrap();
+    assert_eq!(o.get("a"), Some(&JsonValue::U64(0)));
+    assert_eq!(o.get("b"), Some(&JsonValue::I64(0)));
+    assert_eq!(o.get_f64("c"), Some(0.5));
+    assert_eq!(o.get_f64("d"), Some(1e5));
+    assert_eq!(o.get_f64("e"), Some(100.0));
+    assert_eq!(o.get_f64("f"), Some(-2.5e-3));
+    assert_eq!(o.get("g"), Some(&JsonValue::U64(10)));
+}
 
 #[test]
 fn integers_keep_full_precision() {

@@ -21,24 +21,37 @@
 //!
 //! # Durability protocol
 //!
-//! Every lifecycle transition writes `jobs/job-<id>.ckpt` through the
-//! atomic `rlmul-ckpt` path *while the table lock is held*, so the
-//! on-disk record never runs ahead of (or behind) the in-memory state
-//! machine. Driver progress rolls `ckpt-<id>/latest.ckpt` every
-//! `ckpt_every` steps from inside the run. After `kill -9`, the next
-//! start replays `jobs/`: terminal records become history, `Queued`
-//! records re-enter the queue, and `Running` records take the
-//! recovery edge back to `Queued` (bumping `resumes`) so a worker
-//! re-adopts them from their last driver snapshot — completed
-//! synthesis work is served from the snapshot's re-imported cache
-//! entries instead of being repeated.
+//! All job state lives in one group-committed [`Log`], `<dir>/serve.log`:
+//! job records (kind `"job"`), frozen traces (`"trace"`) and driver
+//! snapshots (the method's kind), each frame keyed by job id. Frames
+//! are appended *while the table lock is held*, so log order equals
+//! transition order; the fsync that makes them durable runs after the
+//! lock is released, and one fsync covers every frame appended before
+//! it.
+//!
+//! * `POST /jobs` answers only once its `Queued` record is durable.
+//! * A terminal transition appends the frozen trace and the terminal
+//!   record (after the driver's final snapshot) and commits them as one
+//!   batch; the new state is published to the table — and so becomes
+//!   visible over HTTP — only after that commit.
+//! * Claims and periodic snapshots are appended without waiting for a
+//!   commit: replay keeps only a valid prefix of the log, so a durable
+//!   snapshot implies a durable claim.
+//!
+//! After `kill -9`, the next start replays the log: terminal records
+//! become history, `Queued` records re-enter the queue, and `Running`
+//! records take the recovery edge back to `Queued` (bumping `resumes`)
+//! so a worker re-adopts them from their last driver snapshot —
+//! completed synthesis work is served from the snapshot's re-imported
+//! cache entries instead of being repeated. Start-up then compacts the
+//! log down to its live frames.
 
 use crate::job::{JobRecord, JobResult, JobSpec, JobState, Method, JOB_RECORD_KIND};
 use crate::queue::JobQueue;
 use crate::trace::{TraceRecord, TRACE_RECORD_KIND};
 use rlmul_baselines::SaConfig;
 use rlmul_check::sync::{channel, spawn_named, JoinHandle, Mutex, Receiver, RwLock};
-use rlmul_ckpt::{read_snapshot, write_snapshot, SnapshotStore};
+use rlmul_ckpt::{DirStorage, Log, Lsn, SnapshotStore};
 use rlmul_core::{
     resume_dqn_cached, run_sa_with, train_a2c_with, train_dqn_with, A2cConfig, DqnConfig,
     EnvConfig, EvalCache, MulEnv, OptimizationOutcome, RlMulError, TrainHooks,
@@ -47,10 +60,16 @@ use rlmul_obs::{handle_connection, Counter, Gauge, Histo, Registry, TraceCtx};
 use std::collections::BTreeMap;
 use std::io;
 use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
+
+/// The job log's file name inside the state directory.
+const LOG_NAME: &str = "serve.log";
+
+/// Why a submission is refused when its record cannot be made durable.
+const LOG_UNAVAILABLE: &str = "job log unavailable";
 
 /// Daemon configuration (`rlmul serve` flags map 1:1 onto this).
 #[derive(Debug, Clone)]
@@ -58,9 +77,8 @@ pub struct ServeConfig {
     /// Listen address (`host:port`; port 0 picks a free port, which
     /// is then discoverable via `<dir>/serve.addr`).
     pub addr: String,
-    /// State directory: job records under `jobs/`, per-job driver
-    /// snapshots under `ckpt-<id>/`, the bound address in
-    /// `serve.addr`.
+    /// State directory: every job record, trace and driver snapshot in
+    /// the log `serve.log`, the bound address in `serve.addr`.
     pub dir: PathBuf,
     /// Job worker threads (concurrent optimizations).
     pub workers: usize,
@@ -121,6 +139,12 @@ pub(crate) struct JobEntry {
     /// The durable trace, frozen and persisted at the terminal
     /// transition (or loaded from disk by recovery).
     stored_trace: Option<TraceRecord>,
+    /// The terminal state whose batch is appended but not yet
+    /// committed; claims and cancels treat the job as over.
+    sealed: Option<JobState>,
+    /// The LSN of the submission's `Queued` record: a duplicate
+    /// submission answers once it is durable.
+    queued_lsn: Lsn,
     /// When the job (re-)entered the queue; start of the queue-wait
     /// interval observed at worker claim.
     enqueued_at: Instant,
@@ -140,6 +164,8 @@ impl JobEntry {
             progress: Arc::new(AtomicUsize::new(0)),
             trace,
             stored_trace: None,
+            sealed: None,
+            queued_lsn: Lsn::default(),
             enqueued_at: Instant::now(),
         }
     }
@@ -190,7 +216,6 @@ impl Metrics {
 /// All shared daemon state; `Arc<Inner>` is held by every thread and
 /// by the [`Server`] handle.
 pub(crate) struct Inner {
-    cfg: ServeConfig,
     /// The job table — lock class `serve.jobs`; see the module docs
     /// for the ordering against `serve.queue`.
     table: RwLock<BTreeMap<u64, JobEntry>>,
@@ -198,6 +223,8 @@ pub(crate) struct Inner {
     /// The cross-tenant shared evaluation cache (clones share one
     /// store).
     cache: EvalCache,
+    /// Every record, trace and driver snapshot (see the module docs).
+    log: Arc<Log>,
     next_id: AtomicU64,
     registry: Registry,
     shutting_down: AtomicBool,
@@ -213,43 +240,75 @@ impl Inner {
         self.shutting_down.load(Ordering::Relaxed)
     }
 
-    /// Persists `record` through the atomic snapshot path. Called
-    /// with the table lock held, so disk order equals transition
-    /// order. A write failure is logged, never panicked — the
-    /// in-memory state machine stays authoritative for this daemon's
-    /// lifetime.
-    fn persist(&self, record: &JobRecord) {
-        let path = self.cfg.dir.join("jobs").join(format!("job-{:08}.ckpt", record.id));
-        if let Err(e) = write_snapshot(path, JOB_RECORD_KIND, record) {
-            eprintln!("rlmul-serve: persisting job {} failed: {e}", record.id);
+    /// Appends `record` to the job log. Called with the table lock
+    /// held, so log order equals transition order. A failed append is
+    /// logged, never panicked, and yields `None`.
+    fn persist(&self, record: &JobRecord) -> Option<Lsn> {
+        match self.log.append(JOB_RECORD_KIND, record.id, record) {
+            Ok(lsn) => Some(lsn),
+            Err(e) => {
+                eprintln!("rlmul-serve: persisting job {} failed: {e}", record.id);
+                None
+            }
         }
     }
 
-    /// Persists a frozen trace next to its job record
-    /// (`jobs/trace-<id>.ckpt`). Same atomic path, same
-    /// called-under-the-table-lock discipline as [`Inner::persist`].
-    fn persist_trace(&self, record: &TraceRecord) {
-        let path = self.cfg.dir.join("jobs").join(format!("trace-{:08}.ckpt", record.job_id));
-        if let Err(e) = write_snapshot(path, TRACE_RECORD_KIND, record) {
-            eprintln!("rlmul-serve: persisting trace for job {} failed: {e}", record.job_id);
+    /// Waits until every frame up to `lsn` is durable. Called without
+    /// the table lock, so status polls never wait behind an fsync. A
+    /// failure is logged and yields `false`.
+    fn commit(&self, lsn: Lsn) -> bool {
+        match self.log.commit(lsn) {
+            Ok(()) => true,
+            Err(e) => {
+                eprintln!("rlmul-serve: committing {} failed: {e}", self.log.path().display());
+                false
+            }
         }
     }
 
-    /// Seals a job's trace at its terminal transition: records the
-    /// final lifecycle event, closes the timeline (waking every live
-    /// subscriber), freezes it into a [`TraceRecord`] and persists it
-    /// durably. Also settles the per-tenant metric families. Called
-    /// with the table lock held, right after the state transition
-    /// persisted.
-    fn finish_job(&self, entry: &mut JobEntry, kind: &str, detail: &str) {
+    /// Seals a job at its terminal transition to `record`'s state:
+    /// records the final lifecycle event, closes the timeline (waking
+    /// every live subscriber), freezes it and appends the trace, then
+    /// the record — so a durable terminal record implies a durable
+    /// trace. Called with the table lock held; the entry keeps its old
+    /// state until [`Inner::publish`].
+    fn seal(&self, entry: &mut JobEntry, record: JobRecord, kind: &str, detail: &str) -> Sealed {
         entry.trace.emit_forced(kind, detail);
         entry.trace.close();
-        let frozen = TraceRecord::from_ctx(entry.record.id, &entry.trace);
-        self.persist_trace(&frozen);
-        entry.stored_trace = Some(frozen);
+        let trace = TraceRecord::from_ctx(record.id, &entry.trace);
+        if let Err(e) = self.log.append(TRACE_RECORD_KIND, record.id, &trace) {
+            eprintln!("rlmul-serve: persisting trace for job {} failed: {e}", record.id);
+        }
+        let lsn = self.persist(&record);
+        entry.sealed = Some(record.state);
+        Sealed { record, trace, lsn }
+    }
+
+    /// Commits a sealed batch, then makes it visible: the terminal
+    /// record and trace replace the live ones, the job and per-tenant
+    /// metrics settle, and the job's driver snapshot leaves the log's
+    /// live set. A failed commit is logged and the state published
+    /// anyway: the job is over either way.
+    fn publish(&self, sealed: Sealed) {
+        if let Some(lsn) = sealed.lsn {
+            self.commit(lsn);
+        }
+        let mut table = self.table.write();
+        let Some(entry) = table.get_mut(&sealed.record.id) else { return };
+        let state = sealed.record.state;
+        self.log.forget(sealed.record.spec.method.as_str(), sealed.record.id);
+        entry.record = sealed.record;
+        entry.stored_trace = Some(sealed.trace);
+        entry.sealed = None;
+        match state {
+            JobState::Done => self.metrics.jobs_done.inc(),
+            JobState::Cancelled => self.metrics.jobs_cancelled.inc(),
+            JobState::Failed => self.metrics.jobs_failed.inc(),
+            _ => {}
+        }
         let tenant = entry.record.spec.tenant.as_str();
         self.tenant_active(tenant).add(-1.0);
-        self.tenant_terminal(tenant, entry.record.state.as_str()).inc();
+        self.tenant_terminal(tenant, state.as_str()).inc();
     }
 
     /// Per-tenant gauge of jobs currently queued or running.
@@ -284,14 +343,16 @@ impl Inner {
             .observe(secs);
     }
 
-    /// Accepts a job: assigns an id, persists the `Queued` record and
-    /// enqueues it. Returns `(id, created)`; `created` is `false`
-    /// when `(tenant, idempotency_key)` matched an existing job,
-    /// which is returned instead of duplicated.
+    /// Accepts a job: assigns an id, appends the `Queued` record and
+    /// enqueues it, then returns once the record is durable. Returns
+    /// `(id, created)`; `created` is `false` when `(tenant,
+    /// idempotency_key)` matched an existing job, which is returned
+    /// instead of duplicated.
     ///
     /// # Errors
     ///
-    /// Refused while the daemon is shutting down.
+    /// Refused while the daemon is shutting down, and when the record
+    /// cannot be made durable.
     pub(crate) fn submit(&self, spec: JobSpec) -> Result<(u64, bool), &'static str> {
         if self.is_shutting_down() {
             return Err("shutting down");
@@ -302,14 +363,18 @@ impl Inner {
                 e.record.spec.tenant == spec.tenant
                     && e.record.spec.idempotency_key == spec.idempotency_key
             }) {
-                return Ok((existing.record.id, false));
+                // The first submission may still be awaiting its commit.
+                let (id, lsn) = (existing.record.id, existing.queued_lsn);
+                drop(table);
+                return if self.commit(lsn) { Ok((id, false)) } else { Err(LOG_UNAVAILABLE) };
             }
         }
         let id = self.next_id.fetch_add(1, Ordering::Relaxed);
         let record = JobRecord::new(id, spec);
-        self.persist(&record);
+        let Some(lsn) = self.persist(&record) else { return Err(LOG_UNAVAILABLE) };
         let priority = record.spec.priority;
-        let entry = JobEntry::new(record);
+        let mut entry = JobEntry::new(record);
+        entry.queued_lsn = lsn;
         entry.trace.emit_forced(
             "submitted",
             &format!("tenant={} priority={priority}", entry.record.spec.tenant),
@@ -320,7 +385,16 @@ impl Inner {
         self.queue.push(priority, id, id);
         self.metrics.jobs_submitted.inc();
         self.metrics.queue_depth.set(self.queue.len() as f64);
-        Ok((id, true))
+        drop(table);
+        // A worker may start the job while the fsync is in flight; its
+        // later frames are only ever committed after this one.
+        if self.commit(lsn) {
+            Ok((id, true))
+        } else {
+            // Never acknowledged: stop the job again.
+            let _ = self.cancel(id);
+            Err(LOG_UNAVAILABLE)
+        }
     }
 
     /// One job's record plus its live progress.
@@ -365,22 +439,30 @@ impl Inner {
         let Some(entry) = table.get_mut(&id) else {
             return CancelOutcome::Unknown;
         };
+        if let Some(state) = entry.sealed {
+            // The terminal batch is on its way to disk; answer once it
+            // is durable.
+            drop(table);
+            self.commit(self.log.tail());
+            return CancelOutcome::Terminal(state);
+        }
         match entry.record.state {
             JobState::Queued => {
                 // Either the queue still holds the id (plain case) or
                 // a worker popped it and is blocked on the table lock
-                // we hold — the Cancelled state makes its claim step
-                // a no-op, so both races resolve to one winner.
+                // we hold — the seal makes its claim step a no-op, so
+                // both races resolve to one winner.
                 let _ = self.queue.remove(id);
                 entry.cancelled.store(true, Ordering::Relaxed);
                 entry.stop.store(true, Ordering::Relaxed);
-                if entry.record.transition(JobState::Cancelled, false).is_err() {
+                let mut record = entry.record.clone();
+                if record.transition(JobState::Cancelled, false).is_err() {
                     return CancelOutcome::Terminal(entry.record.state);
                 }
-                self.persist(&entry.record);
-                self.finish_job(entry, "cancelled", "while queued");
-                self.metrics.jobs_cancelled.inc();
+                let sealed = self.seal(entry, record, "cancelled", "while queued");
                 self.metrics.queue_depth.set(self.queue.len() as f64);
+                drop(table);
+                self.publish(sealed);
                 CancelOutcome::WhileQueued
             }
             JobState::Running => {
@@ -400,9 +482,11 @@ impl Inner {
         let (spec, stop, cancelled, progress, trace, waited) = {
             let mut table = self.table.write();
             let Some(entry) = table.get_mut(&id) else { return };
-            if entry.record.transition(JobState::Running, false).is_err() {
+            if entry.sealed.is_some() || entry.record.transition(JobState::Running, false).is_err()
+            {
                 return;
             }
+            // Not committed: the next commit of any job covers it.
             self.persist(&entry.record);
             self.metrics.queue_depth.set(self.queue.len() as f64);
             let waited = entry.enqueued_at.elapsed().as_secs_f64();
@@ -422,47 +506,54 @@ impl Inner {
 
         let outcome = self.execute(id, &spec, &stop, &progress, &trace);
 
-        let mut table = self.table.write();
-        let Some(entry) = table.get_mut(&id) else { return };
-        match outcome {
-            Ok(out) => {
-                let result = summarize(&out);
-                if cancelled.load(Ordering::Relaxed) {
-                    let detail = format!("steps_done={}", result.steps_done);
-                    entry.record.result = Some(result);
-                    if entry.record.transition(JobState::Cancelled, false).is_ok() {
-                        self.metrics.jobs_cancelled.inc();
-                        self.persist(&entry.record);
-                        self.finish_job(entry, "cancelled", &detail);
-                    }
-                } else if self.is_shutting_down() {
-                    // Drain stop, not user intent: leave the record
-                    // `Running` on disk. The driver rolled its final
-                    // snapshot on the stop flag; the next start takes
-                    // the recovery edge and resumes. The open trace is
-                    // in-memory only — the resumed run starts a fresh
-                    // epoch.
-                    entry.progress.store(result.steps_done, Ordering::Relaxed);
-                } else {
-                    let detail =
-                        format!("best_cost={} steps_done={}", result.best_cost, result.steps_done);
-                    entry.record.result = Some(result);
-                    if entry.record.transition(JobState::Done, false).is_ok() {
-                        self.metrics.jobs_done.inc();
-                        self.persist(&entry.record);
-                        self.finish_job(entry, "done", &detail);
+        let sealed = {
+            let mut table = self.table.write();
+            let Some(entry) = table.get_mut(&id) else { return };
+            let mut record = entry.record.clone();
+            match outcome {
+                Ok(out) => {
+                    let result = summarize(&out);
+                    if cancelled.load(Ordering::Relaxed) {
+                        let detail = format!("steps_done={}", result.steps_done);
+                        record.result = Some(result);
+                        record
+                            .transition(JobState::Cancelled, false)
+                            .ok()
+                            .map(|()| self.seal(entry, record, "cancelled", &detail))
+                    } else if self.is_shutting_down() {
+                        // Drain stop, not user intent: leave the record
+                        // `Running` on disk. The driver appended its
+                        // final snapshot on the stop flag (the drain
+                        // commits it); the next start takes the
+                        // recovery edge and resumes. The open trace is
+                        // in-memory only — the resumed run starts a
+                        // fresh epoch.
+                        entry.progress.store(result.steps_done, Ordering::Relaxed);
+                        None
+                    } else {
+                        let detail = format!(
+                            "best_cost={} steps_done={}",
+                            result.best_cost, result.steps_done
+                        );
+                        record.result = Some(result);
+                        record
+                            .transition(JobState::Done, false)
+                            .ok()
+                            .map(|()| self.seal(entry, record, "done", &detail))
                     }
                 }
-            }
-            Err(err) => {
-                entry.record.error = Some(err.to_string());
-                if entry.record.transition(JobState::Failed, false).is_ok() {
-                    self.metrics.jobs_failed.inc();
-                    self.persist(&entry.record);
-                    let detail = entry.record.error.clone().unwrap_or_default();
-                    self.finish_job(entry, "failed", &detail);
+                Err(err) => {
+                    let detail = err.to_string();
+                    record.error = Some(detail.clone());
+                    record
+                        .transition(JobState::Failed, false)
+                        .ok()
+                        .map(|()| self.seal(entry, record, "failed", &detail))
                 }
             }
+        };
+        if let Some(sealed) = sealed {
+            self.publish(sealed);
         }
     }
 
@@ -479,8 +570,7 @@ impl Inner {
     ) -> Result<OptimizationOutcome, RlMulError> {
         let mut env_cfg = EnvConfig::new(spec.bits, spec.kind);
         env_cfg.weights = spec.pref.weights();
-        let store =
-            SnapshotStore::new(self.cfg.dir.join(format!("ckpt-{id:08}")), spec.method.as_str());
+        let store = SnapshotStore::in_log(Arc::clone(&self.log), id, spec.method.as_str());
         let hooks = TrainHooks {
             store: Some(store.clone()),
             checkpoint_every: spec.ckpt_every,
@@ -525,6 +615,37 @@ impl Inner {
     }
 }
 
+/// A terminal transition whose frames are appended but not yet
+/// committed; [`Inner::publish`] commits and then shows it.
+struct Sealed {
+    record: JobRecord,
+    trace: TraceRecord,
+    lsn: Option<Lsn>,
+}
+
+/// Refuses a state directory in the per-file layout of earlier
+/// versions (`jobs/job-<id>.ckpt`, `ckpt-<id>/`): this version reads
+/// only the job log, and starting empty beside those files would
+/// silently orphan their jobs.
+fn refuse_per_file_layout(dir: &Path) -> io::Result<()> {
+    let per_job_dirs = std::fs::read_dir(dir).is_ok_and(|entries| {
+        entries.flatten().any(|e| e.file_name().to_string_lossy().starts_with("ckpt-"))
+    });
+    if dir.join("jobs").is_dir() || per_job_dirs {
+        return Err(io::Error::new(
+            io::ErrorKind::InvalidData,
+            format!(
+                "{} holds job state in the per-file layout of an earlier `rlmul serve` \
+                 (`jobs/`, `ckpt-<id>/`); this version keeps all job state in `{LOG_NAME}` \
+                 and cannot read it: finish those jobs with the earlier version, or start \
+                 with a fresh --dir",
+                dir.display()
+            ),
+        ));
+    }
+    Ok(())
+}
+
 /// Collapses a driver outcome into the persisted result summary.
 fn summarize(out: &OptimizationOutcome) -> JobResult {
     JobResult {
@@ -555,18 +676,27 @@ impl std::fmt::Debug for Server {
 }
 
 impl Server {
-    /// Starts the daemon: recovers persisted jobs from `cfg.dir`,
-    /// binds `cfg.addr`, writes the bound address to
-    /// `<dir>/serve.addr`, and spawns the accept, HTTP and job worker
-    /// threads.
+    /// Starts the daemon: opens the job log in `cfg.dir`, binds
+    /// `cfg.addr`, writes the bound address to `<dir>/serve.addr`,
+    /// recovers the persisted jobs, and spawns the accept, HTTP and
+    /// job worker threads.
     ///
     /// # Errors
     ///
-    /// Bind and state-directory I/O failures.
+    /// Bind and state-directory I/O failures, a job log damaged
+    /// mid-file, and a state directory in the per-file layout of
+    /// earlier versions.
     pub fn start(cfg: ServeConfig) -> io::Result<Server> {
         let workers = cfg.workers.max(1);
         let http_workers = cfg.http_workers.max(1);
-        std::fs::create_dir_all(cfg.dir.join("jobs"))?;
+        refuse_per_file_layout(&cfg.dir)?;
+        std::fs::create_dir_all(&cfg.dir)?;
+        let log = Log::open(DirStorage::new(&cfg.dir), LOG_NAME).map_err(|e| {
+            io::Error::new(
+                io::ErrorKind::InvalidData,
+                format!("{}: {e}", cfg.dir.join(LOG_NAME).display()),
+            )
+        })?;
         let listener = TcpListener::bind(&cfg.addr)?;
         let local = listener.local_addr()?;
         std::fs::write(cfg.dir.join("serve.addr"), local.to_string())?;
@@ -577,11 +707,11 @@ impl Server {
             table: RwLock::new("serve.jobs", BTreeMap::new()),
             queue: JobQueue::new(),
             cache: EvalCache::new(),
+            log: Arc::new(log),
             next_id: AtomicU64::new(1),
             registry,
             shutting_down: AtomicBool::new(false),
             metrics,
-            cfg,
         });
         inner.recover()?;
 
@@ -668,6 +798,8 @@ impl Server {
         for t in self.threads.drain(..) {
             let _ = t.join();
         }
+        // Make the drained jobs' final snapshots durable.
+        self.inner.commit(self.inner.log.tail());
     }
 }
 
@@ -678,36 +810,36 @@ impl Drop for Server {
 }
 
 impl Inner {
-    /// Replays `jobs/` into the table: terminal records become
-    /// history, `Queued` records re-enter the queue, `Running`
-    /// records take the recovery edge (`Running → Queued`, bumping
-    /// `resumes`) and re-enter the queue to be resumed from their
-    /// last driver snapshot.
+    /// Replays the job log into the table: terminal records become
+    /// history, `Queued` records re-enter the queue, `Running` records
+    /// take the recovery edge (`Running → Queued`, bumping `resumes`)
+    /// and re-enter the queue to be resumed from their last driver
+    /// snapshot. Then commits the recovery edges and compacts the log.
     fn recover(self: &Arc<Self>) -> io::Result<()> {
-        let jobs_dir = self.cfg.dir.join("jobs");
+        let path = self.log.path();
+        if self.log.torn_bytes() > 0 {
+            eprintln!(
+                "rlmul-serve: cut a torn tail of {} bytes off {}",
+                self.log.torn_bytes(),
+                path.display()
+            );
+        }
         let mut records: Vec<JobRecord> = Vec::new();
-        for entry in std::fs::read_dir(&jobs_dir)? {
-            let path = entry?.path();
-            if path.extension().is_none_or(|e| e != "ckpt") {
-                continue;
-            }
-            // Trace records share the directory under `trace-*.ckpt`;
-            // they are loaded per terminal job below, not replayed.
-            if path.file_name().is_some_and(|n| n.to_string_lossy().starts_with("trace-")) {
-                continue;
-            }
-            match read_snapshot::<JobRecord, _>(&path, JOB_RECORD_KIND) {
-                Ok(record) => records.push(record),
-                Err(e) => {
-                    // A torn tmp file can't exist (atomic rename), but
-                    // a foreign or corrupted file can; skip it loudly.
-                    eprintln!("rlmul-serve: skipping unreadable {}: {e}", path.display());
-                }
+        for id in self.log.keys(JOB_RECORD_KIND) {
+            match self.log.read::<JobRecord>(JOB_RECORD_KIND, id) {
+                Ok(Some(record)) => records.push(record),
+                Ok(None) => {}
+                // The log verified every frame when it opened; a frame
+                // that rotted since is skipped loudly.
+                Err(e) => eprintln!(
+                    "rlmul-serve: skipping unreadable job {id} in {}: {e}",
+                    path.display()
+                ),
             }
         }
-        records.sort_by_key(|r| r.id);
         let mut table = self.table.write();
         let mut max_id = 0;
+        let mut requeued = Lsn::default();
         for mut record in records {
             max_id = max_id.max(record.id);
             let id = record.id;
@@ -724,7 +856,7 @@ impl Inner {
                         Ok(()) => {
                             record.resumes += 1;
                             self.metrics.jobs_resumed.inc();
-                            self.persist(&record);
+                            requeued = self.persist(&record).unwrap_or(requeued);
                             true
                         }
                         Err(e) => {
@@ -739,12 +871,15 @@ impl Inner {
             let mut entry = JobEntry::new(record);
             if entry.record.state.is_terminal() {
                 // Re-attach the durable trace; a missing or unreadable
-                // file leaves the timeline empty rather than failing
-                // recovery.
-                let trace_path = jobs_dir.join(format!("trace-{id:08}.ckpt"));
-                entry.stored_trace =
-                    read_snapshot::<TraceRecord, _>(&trace_path, TRACE_RECORD_KIND).ok();
+                // one leaves the timeline empty rather than failing
+                // recovery. A finished job never resumes, so its
+                // snapshot is dead.
+                entry.stored_trace = self.log.read(TRACE_RECORD_KIND, id).ok().flatten();
+                self.log.forget(entry.record.spec.method.as_str(), id);
             } else {
+                // A trace of an unfinished job was sealed but never
+                // published; the job runs again and seals a new one.
+                self.log.forget(TRACE_RECORD_KIND, id);
                 self.tenant_active(&entry.record.spec.tenant).add(1.0);
                 entry.trace.emit_forced(
                     "recovered",
@@ -758,6 +893,12 @@ impl Inner {
         }
         self.metrics.queue_depth.set(self.queue.len() as f64);
         self.next_id.store(max_id + 1, Ordering::Relaxed);
+        drop(table);
+        self.log.commit(requeued).map_err(io::Error::other)?;
+        // A failed compaction leaves the old, complete log in place.
+        if let Err(e) = self.log.compact() {
+            eprintln!("rlmul-serve: compacting {} failed: {e}", path.display());
+        }
         Ok(())
     }
 }

@@ -121,7 +121,7 @@ fn cancel_while_queued_is_immediate_and_never_runs() {
     // One worker, so a second submission reliably waits in the queue
     // behind the first.
     let (server, addr) = start(&dir, 1);
-    let (_, busy, _) = submit(&addr, r#"{"bits":4,"steps":40,"seed":1}"#);
+    let (_, busy, _) = submit(&addr, r#"{"bits":4,"steps":4000,"seed":1}"#);
     let (_, queued, _) = submit(&addr, r#"{"bits":4,"steps":40,"seed":2}"#);
     wait_for_state(&addr, busy, "running", 60);
 
@@ -238,7 +238,7 @@ fn clean_restart_recovers_queued_and_running_jobs() {
     let queued_id;
     {
         let (server, addr) = start(&dir, 1);
-        let (_, a, _) = submit(&addr, r#"{"bits":4,"steps":60,"seed":7,"ckpt_every":4}"#);
+        let (_, a, _) = submit(&addr, r#"{"bits":4,"steps":4000,"seed":7,"ckpt_every":4}"#);
         let (_, b, _) = submit(&addr, r#"{"bits":4,"steps":2,"seed":8}"#);
         first_id = a;
         queued_id = b;
@@ -260,7 +260,7 @@ fn clean_restart_recovers_queued_and_running_jobs() {
         let (server, addr) = start(&dir, 1);
         let done_a = wait_for_state(&addr, first_id, "done", 180);
         assert_eq!(field_u64(&done_a, "resumes"), Some(1), "re-adopted exactly once: {done_a}");
-        assert_eq!(field_u64(&done_a, "steps_done"), Some(60), "{done_a}");
+        assert_eq!(field_u64(&done_a, "steps_done"), Some(4000), "{done_a}");
         let done_b = wait_for_state(&addr, queued_id, "done", 180);
         assert_eq!(field_u64(&done_b, "resumes"), Some(0), "{done_b}");
         // Terminal states survive as history.
@@ -394,5 +394,64 @@ fn concurrent_clients_drive_every_job_terminal() {
     assert!(!states.contains(&"failed"), "no job failed: {outcomes:?}");
     assert_eq!(errors, 0, "no client errors: {outcomes:?}");
     server.shutdown();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A state directory in the per-file layout of earlier versions is
+/// refused with an error naming the layout, never read as empty.
+#[test]
+fn per_file_state_directory_is_refused() {
+    for old in ["jobs", "ckpt-00000001"] {
+        let dir = tmpdir(&format!("old-{old}"));
+        std::fs::create_dir_all(dir.join(old)).unwrap();
+        let err = Server::start(ServeConfig {
+            addr: "127.0.0.1:0".into(),
+            dir: dir.clone(),
+            ..Default::default()
+        })
+        .expect_err("a per-file state directory must be refused");
+        assert!(err.to_string().contains("per-file layout"), "{err}");
+        assert!(!dir.join("serve.log").exists(), "nothing written beside the old state");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+}
+
+/// A torn tail of the job log is cut off at start; damage with valid
+/// frames after it refuses the start instead of dropping them.
+#[test]
+fn torn_log_tail_is_cut_and_mid_log_damage_is_refused() {
+    let dir = tmpdir("log-damage");
+    let id;
+    {
+        let (server, addr) = start(&dir, 1);
+        (_, id, _) = submit(&addr, r#"{"bits":4,"steps":2,"seed":4}"#);
+        wait_for_state(&addr, id, "done", 60);
+        server.shutdown();
+    }
+    let log = dir.join("serve.log");
+    let bytes = std::fs::read(&log).unwrap();
+
+    // A crash mid-append: half a frame after the last one.
+    let mut torn = bytes.clone();
+    torn.extend_from_slice(&bytes[..bytes.len().min(40) / 2]);
+    std::fs::write(&log, &torn).unwrap();
+    {
+        let (server, addr) = start(&dir, 1);
+        wait_for_state(&addr, id, "done", 10);
+        server.shutdown();
+    }
+    assert!(std::fs::read(&log).unwrap().len() <= bytes.len(), "the torn tail was cut off");
+
+    // Bit-rot inside the first frame, with valid frames after it.
+    let mut rotten = std::fs::read(&log).unwrap();
+    rotten[30] ^= 0x40;
+    std::fs::write(&log, &rotten).unwrap();
+    let err = Server::start(ServeConfig {
+        addr: "127.0.0.1:0".into(),
+        dir: dir.clone(),
+        ..Default::default()
+    })
+    .expect_err("mid-log damage must refuse the start");
+    assert!(err.to_string().contains("damaged"), "{err}");
     let _ = std::fs::remove_dir_all(&dir);
 }

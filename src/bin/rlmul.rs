@@ -36,6 +36,12 @@ fn main() -> ExitCode {
         return ExitCode::FAILURE;
     };
     let tokens: Vec<String> = argv.collect();
+    // Help after any subcommand answers before the command runs, so
+    // `rlmul serve --help` starts no daemon and writes no state.
+    if tokens.iter().any(|t| t == "--help" || t == "-h") {
+        println!("{USAGE}");
+        return ExitCode::SUCCESS;
+    }
     let opts = parse_opts(tokens.clone());
     let lockdep = matches!(opts.get("lockdep").map(String::as_str), Some("on" | "true" | "1"));
     if lockdep {
