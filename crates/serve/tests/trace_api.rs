@@ -181,7 +181,10 @@ fn cancelled_while_queued_trace_is_complete_and_durable() {
     let dir = tmpdir("cancelq");
     let (server, addr) = start(&dir, 1);
     // Occupy the single worker so the second job stays queued.
-    let busy = submit(&addr, r#"{"bits":4,"steps":300,"seed":1}"#);
+    // It must outlast the queued job's cancel: 4000 steps, checkpointed
+    // every 10, run about 0.75 s in a release build on 2 cores (300
+    // took 12 ms), against the one 20 ms poll before the cancel.
+    let busy = submit(&addr, r#"{"bits":4,"steps":4000,"seed":1}"#);
     let queued = submit(&addr, r#"{"bits":4,"steps":5,"seed":2}"#);
     wait_for_state(&addr, busy, "running", 60);
     let (code, _) = http_call(&addr, "DELETE", &format!("/jobs/{queued}"), "").unwrap();

@@ -7,29 +7,36 @@
 //!
 //! * the previous netlist and its [`NetConn`] connectivity tables —
 //!   patched over the differing gate suffix instead of rebuilt;
+//! * the all-X1 cell binding and net loads every mapping starts from —
+//!   re-derived only for the suffix gates and the nets the edit
+//!   touched;
 //! * the all-X1 baseline arrival times — rebased through the edit's
 //!   fanout cone by [`IncrementalSta::patch_baseline`] instead of a
 //!   whole-netlist propagation pass;
+//! * the signal probabilities behind every power estimate — they
+//!   depend on the netlist alone, so only the suffix gates are
+//!   re-propagated, and all delay targets share them;
 //! * the (ascending) flip-flop gate list for endpoint scans.
 //!
-//! Per delay target, the sizing loop then runs
-//! [`size_to_target_seeded`], which mirrors [`size_to_target`]
-//! decision for decision. Because every floating-point operation that
-//! feeds a decision is evaluated on identical operands in identical
-//! order, the reported PPA numbers equal the full run's bit for bit —
-//! only the [`StaStats`] work counters differ (that equality is
-//! asserted as a debug-build oracle against a real full run).
+//! Delay targets with a common move budget then share one sizing
+//! trajectory ([`size_to_targets_seeded`]), which mirrors
+//! [`size_to_target`](crate::size_to_target) decision for decision.
+//! Because every floating-point operation that feeds a decision is
+//! evaluated on identical operands in identical order, the reported
+//! PPA numbers equal the full run's bit for bit — only the
+//! [`StaStats`] work counters differ (that equality is asserted as a
+//! debug-build oracle against a real full run).
 
 use crate::library::{Drive, Library};
-use crate::map::{x1_cell_of, MappedNetlist, NetConn};
-use crate::power::estimate;
-use crate::size::{size_to_target_seeded, size_to_targets_seeded};
-use crate::sta::{critical_path_from, worst_endpoint, IncrementalSta, StaStats, TimingReport};
+use crate::map::{net_load, net_loads, x1_cell_of, MappedNetlist, NetConn};
+use crate::power::{estimate_with, propagate_probabilities, signal_probabilities};
+use crate::size::{size_to_targets_seeded, TargetStop};
+use crate::sta::{worst_endpoint, IncrementalSta, StaStats};
 use crate::synth::{SynthesisOptions, SynthesisReport, Synthesizer};
 use crate::SynthError;
 use rlmul_rtl::{GateKind, NetId, Netlist};
 
-/// State carried from the previous call.
+/// The shared per-step state of one netlist, carried to the next call.
 #[derive(Debug, Clone)]
 struct PrevState {
     netlist: Netlist,
@@ -39,8 +46,48 @@ struct PrevState {
     /// Dff gate indices in ascending (= netlist) order.
     dffs: Vec<u32>,
     /// All-X1 cell binding — each target's mapping starts as a memcpy
-    /// of this instead of per-gate library scans.
+    /// of this instead of per-gate library lookups.
     cell_of: Vec<usize>,
+    /// Net loads under `cell_of`, copied into each mapping alongside it.
+    loads: Vec<f64>,
+    /// Signal probability of every net, for power estimates.
+    probs: Vec<f64>,
+}
+
+impl PrevState {
+    /// A fresh all-X1 mapping of the state's netlist over the shared
+    /// tables.
+    fn mapping<'a>(&'a self, library: &'a Library) -> MappedNetlist<'a> {
+        MappedNetlist::map_with_parts(
+            &self.netlist,
+            library,
+            &self.conn,
+            self.cell_of.clone(),
+            self.loads.clone(),
+        )
+    }
+
+    /// The report of `o` for mapping `m` stopped at `stop`.
+    fn report(
+        &self,
+        m: &MappedNetlist<'_>,
+        o: &SynthesisOptions,
+        stop: &TargetStop,
+    ) -> SynthesisReport {
+        let delay = stop.worst_delay_ns.max(1e-6);
+        let power = estimate_with(m, &self.probs, 1.0 / delay);
+        SynthesisReport {
+            area_um2: m.area_um2(),
+            delay_ns: stop.worst_delay_ns,
+            power_mw: power.total_mw(),
+            target_delay_ns: o.target_delay_ns,
+            met_target: stop.met_target,
+            drive_histogram: m.drive_histogram(),
+            sizing_moves: stop.moves,
+            num_cells: m.netlist().gates().len(),
+            sta: stop.sta,
+        }
+    }
 }
 
 /// How the shared per-step state was obtained.
@@ -141,14 +188,22 @@ impl IncrementalSynthesis {
         // check: allow(wall-clock) duration feeds the obs histogram only
         let started = std::time::Instant::now();
 
-        let (conn, baseline, dffs, cell_of, mode) = self.prepare_state(netlist);
+        let (state, mode) = self.prepare_state(netlist);
         let library = self.synthesizer.library();
 
-        let mut slots: Vec<Option<SynthesisReport>> = options.iter().map(|_| None).collect();
+        let mut slots: Vec<Option<SynthesisReport>> = vec![None; options.len()];
         // Min-area options report straight off the shared baseline.
         for (i, o) in options.iter().enumerate() {
             if o.target_delay_ns.is_none() {
-                slots[i] = Some(run_option(netlist, library, &conn, &baseline, &dffs, &cell_of, o));
+                let mapped = state.mapping(library);
+                let (worst, _) = worst_endpoint(&mapped, &state.baseline, Some(&state.dffs));
+                let stop = TargetStop {
+                    worst_delay_ns: worst,
+                    moves: 0,
+                    met_target: true,
+                    sta: StaStats::default(),
+                };
+                slots[i] = Some(state.report(&mapped, o, &stop));
             }
         }
 
@@ -156,51 +211,27 @@ impl IncrementalSynthesis {
         // sizing trajectory: batch selection never reads the target,
         // so each option's independent run is a prefix of the
         // tightest's, and its report is emitted at its stop point.
-        let targeted: Vec<usize> =
-            (0..options.len()).filter(|&i| options[i].target_delay_ns.is_some()).collect();
-        let shareable = targeted.len() >= 2
-            && targeted.iter().all(|&i| options[i].max_upsizes == options[targeted[0]].max_upsizes);
-        if shareable {
-            let _s = obs.span("synth.inc_sizing");
+        let _s = obs.span("synth.inc_sizing");
+        for first in 0..options.len() {
+            if options[first].target_delay_ns.is_none() || slots[first].is_some() {
+                continue;
+            }
+            let budget = options[first].max_upsizes;
+            let group: Vec<usize> = (first..options.len())
+                .filter(|&i| options[i].target_delay_ns.is_some())
+                .filter(|&i| options[i].max_upsizes == budget)
+                .collect();
             let targets: Vec<f64> =
-                targeted.iter().map(|&i| options[i].target_delay_ns.expect("targeted")).collect();
-            let mut mapped =
-                MappedNetlist::map_with_parts(netlist, library, &conn, cell_of.clone());
+                group.iter().map(|&i| options[i].target_delay_ns.expect("targeted")).collect();
+            let mut mapped = state.mapping(library);
             size_to_targets_seeded(
                 &mut mapped,
                 &targets,
-                options[targeted[0]].max_upsizes,
-                baseline.clone(),
-                &dffs,
-                |m, ti, stop| {
-                    let oi = targeted[ti];
-                    let delay = stop.worst_delay_ns.max(1e-6);
-                    let power = estimate(m, 1.0 / delay);
-                    slots[oi] = Some(SynthesisReport {
-                        area_um2: m.area_um2(),
-                        delay_ns: stop.worst_delay_ns,
-                        power_mw: power.total_mw(),
-                        target_delay_ns: options[oi].target_delay_ns,
-                        met_target: stop.met_target,
-                        drive_histogram: m.drive_histogram(),
-                        sizing_moves: stop.moves,
-                        num_cells: netlist.gates().len(),
-                        sta: stop.sta,
-                    });
-                },
+                budget,
+                state.baseline.clone(),
+                &state.dffs,
+                |m, ti, stop| slots[group[ti]] = Some(state.report(m, &options[group[ti]], stop)),
             );
-        } else {
-            for &i in &targeted {
-                slots[i] = Some(run_option(
-                    netlist,
-                    library,
-                    &conn,
-                    &baseline,
-                    &dffs,
-                    &cell_of,
-                    &options[i],
-                ));
-            }
         }
         let reports: Vec<SynthesisReport> =
             slots.into_iter().map(|s| s.expect("every option produced a report")).collect();
@@ -246,19 +277,14 @@ impl IncrementalSynthesis {
             .observe_duration(started.elapsed());
         }
 
-        self.prev = Some(PrevState { netlist: netlist.clone(), conn, baseline, dffs, cell_of });
+        self.prev = Some(state);
         self.last_mode = Some(mode);
         Ok(reports)
     }
 
-    /// Produces the shared per-step state for `netlist`: connectivity
-    /// tables, all-X1 baseline arrivals, and the Dff list — patched
-    /// from the previous call when the netlists overlap, rebuilt
-    /// otherwise.
-    fn prepare_state(
-        &mut self,
-        netlist: &Netlist,
-    ) -> (NetConn, Vec<f64>, Vec<u32>, Vec<usize>, SynthMode) {
+    /// Produces the shared per-step state for `netlist` — patched from
+    /// the previous call when the netlists overlap, rebuilt otherwise.
+    fn prepare_state(&mut self, netlist: &Netlist) -> (PrevState, SynthMode) {
         let _s = rlmul_obs::global().span("synth.inc_prepare");
         let taken = self.prev.take();
         let library = self.synthesizer.library();
@@ -270,22 +296,35 @@ impl IncrementalSynthesis {
             _ => {
                 let conn = NetConn::build(netlist);
                 let cell_of = x1_cell_of(netlist, library);
-                let mapped =
-                    MappedNetlist::map_with_parts(netlist, library, &conn, cell_of.clone());
-                let baseline = crate::sta::analyze(&mapped).arrivals;
-                let dffs = dff_list(netlist, 0, &[]);
-                return (conn, baseline, dffs, cell_of, SynthMode::Full);
+                let loads = net_loads(netlist, library, &conn, &cell_of);
+                let mut state = PrevState {
+                    netlist: netlist.clone(),
+                    conn,
+                    baseline: Vec::new(),
+                    dffs: dff_list(netlist, 0, &[]),
+                    cell_of,
+                    loads,
+                    probs: signal_probabilities(netlist),
+                };
+                state.baseline = crate::sta::analyze(&state.mapping(library)).arrivals;
+                return (state, SynthMode::Full);
             }
         };
 
         let k = shared_gate_prefix(&prev.netlist, netlist);
-        let PrevState { netlist: old, mut conn, baseline, mut dffs, mut cell_of } = prev;
+        let PrevState {
+            netlist: old,
+            mut conn,
+            baseline,
+            mut dffs,
+            mut cell_of,
+            mut loads,
+            mut probs,
+        } = prev;
 
-        // Prefix gates whose output load the edit can change: drivers
-        // of any net the old or new suffix reads, and drivers of
-        // primary-output bits (their PO fanout may move). Collected
-        // against the *new* netlist's tables — stale old-only nets
-        // resolve to None and suffix drivers (≥ k) are already queued.
+        // Nets whose sinks or primary-output fanout the edit can
+        // change: every net the old or new suffix reads, and every
+        // primary-output bit.
         conn.patch(&old, netlist, k);
         let mut touched: Vec<NetId> = Vec::new();
         for g in old.gates().iter().skip(k).chain(netlist.gates().iter().skip(k)) {
@@ -294,81 +333,47 @@ impl IncrementalSynthesis {
         for p in old.outputs().iter().chain(netlist.outputs()) {
             touched.extend(p.bits.iter().copied());
         }
+        // Their prefix drivers see a new output load. Collected against
+        // the *new* netlist's tables — stale old-only nets resolve to
+        // None and suffix drivers (≥ k) are queued anyway.
         let mut seeds: Vec<usize> = touched
-            .into_iter()
-            .filter_map(|net| conn.driver_index(net))
+            .iter()
+            .filter_map(|&net| conn.driver_index(net))
             .filter(|&d| (d as usize) < k)
             .map(|d| d as usize)
             .collect();
         seeds.sort_unstable();
         seeds.dedup();
 
-        // Rebase the cell template over the suffix: prefix bindings
-        // are all-X1 already, so only the new tail needs lookups —
-        // memoized per gate kind, since `Library::cell_index` is a
-        // linear scan and the suffix repeats a handful of kinds.
-        let mut x1_memo = [usize::MAX; 16];
+        // Rebase the templates over the suffix: prefix bindings are
+        // all-X1 already, so only the new tail needs lookups, and only
+        // touched or newly numbered nets can carry a different load.
         cell_of.truncate(k);
-        cell_of.extend(netlist.gates().iter().skip(k).map(|g| {
-            let slot = &mut x1_memo[g.kind as usize];
-            if *slot == usize::MAX {
-                *slot = library.cell_index(g.kind, Drive::X1);
-            }
-            *slot
-        }));
-
-        let mapped = MappedNetlist::map_with_parts(netlist, library, &conn, cell_of.clone());
-        let mut sta = IncrementalSta::from_baseline(baseline);
-        sta.patch_baseline(&mapped, &seeds, k);
-        let baseline = sta.into_arrivals();
+        cell_of.extend(netlist.gates()[k..].iter().map(|g| library.cell_index(g.kind, Drive::X1)));
+        let nets = netlist.num_nets() as usize;
+        let known = loads.len().min(nets);
+        loads.resize(nets, 0.0);
+        let fresh = known..nets;
+        for net in touched.iter().map(|n| n.0 as usize).filter(|&n| n < known).chain(fresh) {
+            loads[net] = net_load(library, &conn, &cell_of, net);
+        }
+        probs.resize(nets, 0.5);
+        propagate_probabilities(netlist, &mut probs, k);
 
         dffs.retain(|&gi| (gi as usize) < k);
-        let suffix_dffs = dff_list(netlist, k, &dffs);
-        (conn, baseline, suffix_dffs, cell_of, SynthMode::Patched)
-    }
-}
-
-/// One synthesis target over the shared per-step state — the per-job
-/// body of [`IncrementalSynthesis::run_many`].
-fn run_option(
-    netlist: &Netlist,
-    library: &Library,
-    conn: &NetConn,
-    baseline: &[f64],
-    dffs: &[u32],
-    cell_of: &[usize],
-    o: &SynthesisOptions,
-) -> SynthesisReport {
-    let _s = rlmul_obs::global().span("synth.inc_option");
-    let mut mapped = MappedNetlist::map_with_parts(netlist, library, conn, cell_of.to_vec());
-    let (timing, moves, met, sta) = match o.target_delay_ns {
-        Some(target) => {
-            let out =
-                size_to_target_seeded(&mut mapped, target, o.max_upsizes, baseline.to_vec(), dffs);
-            (out.timing, out.moves, out.met_target, out.sta)
-        }
-        None => {
-            // Minimum-area mapping: report straight off the shared
-            // baseline, no sizing.
-            let (worst, worst_net) = worst_endpoint(&mapped, baseline, Some(dffs));
-            let critical_path = critical_path_from(&mapped, baseline, worst_net);
-            let timing =
-                TimingReport { worst_delay_ns: worst, arrivals: baseline.to_vec(), critical_path };
-            (timing, 0, true, StaStats::default())
-        }
-    };
-    let delay = timing.worst_delay_ns.max(1e-6);
-    let power = estimate(&mapped, 1.0 / delay);
-    SynthesisReport {
-        area_um2: mapped.area_um2(),
-        delay_ns: timing.worst_delay_ns,
-        power_mw: power.total_mw(),
-        target_delay_ns: o.target_delay_ns,
-        met_target: met,
-        drive_histogram: mapped.drive_histogram(),
-        sizing_moves: moves,
-        num_cells: netlist.gates().len(),
-        sta,
+        let mut state = PrevState {
+            netlist: netlist.clone(),
+            conn,
+            baseline: Vec::new(),
+            dffs: dff_list(netlist, k, &dffs),
+            cell_of,
+            loads,
+            probs,
+        };
+        let mut sta = IncrementalSta::from_baseline(baseline);
+        sta.patch_baseline(&state.mapping(library), &seeds, k);
+        state.baseline = sta.into_arrivals();
+        (state, SynthMode::Patched)
     }
 }
 

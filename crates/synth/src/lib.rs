@@ -44,6 +44,6 @@ pub use inc::{IncrementalSynthesis, SynthMode};
 pub use library::{Cell, Drive, Library};
 pub use map::{MappedNetlist, NetConn};
 pub use power::{estimate as estimate_power, PowerReport};
-pub use size::{size_to_target, size_to_target_seeded, SizingOutcome};
+pub use size::{size_to_target, SizingOutcome};
 pub use sta::{analyze, IncrementalSta, StaStats, TimingReport};
 pub use synth::{SynthesisOptions, SynthesisReport, Synthesizer};

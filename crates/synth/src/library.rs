@@ -104,6 +104,25 @@ fn area_factor(drive: Drive) -> f64 {
     }
 }
 
+/// Every gate kind in declaration order: the library holds one cell per
+/// kind and drive, kind-major, so [`Library::cell_index`] is
+/// arithmetic on the two discriminants.
+const KINDS: [GateKind; 13] = [
+    GateKind::Inv,
+    GateKind::Buf,
+    GateKind::And2,
+    GateKind::Or2,
+    GateKind::Nand2,
+    GateKind::Nor2,
+    GateKind::Xor2,
+    GateKind::Xnor2,
+    GateKind::Mux2,
+    GateKind::HalfAdder,
+    GateKind::FullAdder,
+    GateKind::Compressor42,
+    GateKind::Dff,
+];
+
 /// A complete cell library plus interconnect/environment parameters.
 #[derive(Debug, Clone)]
 pub struct Library {
@@ -123,21 +142,7 @@ impl Library {
     /// Builds the NanGate45-flavoured default library.
     pub fn nangate45() -> Self {
         let mut cells = Vec::new();
-        for kind in [
-            GateKind::Inv,
-            GateKind::Buf,
-            GateKind::And2,
-            GateKind::Or2,
-            GateKind::Nand2,
-            GateKind::Nor2,
-            GateKind::Xor2,
-            GateKind::Xnor2,
-            GateKind::Mux2,
-            GateKind::HalfAdder,
-            GateKind::FullAdder,
-            GateKind::Compressor42,
-            GateKind::Dff,
-        ] {
+        for kind in KINDS {
             let (area, cap, intrinsics, r, leak, e) = base(kind);
             for drive in Drive::ALL {
                 let f = drive.factor();
@@ -174,17 +179,13 @@ impl Library {
         &self.cells
     }
 
-    /// Index of the cell implementing `kind` at `drive`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the library lacks the variant (the default library
-    /// is complete).
+    /// Index of the cell implementing `kind` at `drive`: a position
+    /// in the kind-major × [`Drive::ALL`] layout every library is
+    /// built in.
     pub fn cell_index(&self, kind: GateKind, drive: Drive) -> usize {
-        self.cells
-            .iter()
-            .position(|c| c.kind == kind && c.drive == drive)
-            .unwrap_or_else(|| panic!("library missing {kind:?} at {drive:?}"))
+        let index = kind as usize * Drive::ALL.len() + drive as usize;
+        debug_assert!(self.cells[index].kind == kind && self.cells[index].drive == drive);
+        index
     }
 
     /// The cell at `index`.
@@ -204,6 +205,14 @@ mod tests {
         for drive in Drive::ALL {
             let idx = lib.cell_index(GateKind::FullAdder, drive);
             assert_eq!(lib.cell(idx).drive, drive);
+        }
+    }
+
+    #[test]
+    fn cell_index_matches_the_cell_it_names() {
+        let lib = Library::nangate45();
+        for (i, cell) in lib.cells().iter().enumerate() {
+            assert_eq!(lib.cell_index(cell.kind, cell.drive), i, "{}", cell.name);
         }
     }
 

@@ -168,6 +168,29 @@ pub fn x1_cell_of(netlist: &Netlist, library: &Library) -> Vec<usize> {
     netlist.gates().iter().map(|g| library.cell_index(g.kind, Drive::X1)).collect()
 }
 
+/// Capacitive load on `net` in fF under the binding `cell_of`: sink
+/// pin caps summed in sink order, wire estimate, and primary-output
+/// loads.
+pub(crate) fn net_load(library: &Library, conn: &NetConn, cell_of: &[usize], net: usize) -> f64 {
+    let s = &conn.sinks[net];
+    let pin_caps: f64 =
+        s.iter().map(|&(gi, _)| library.cell(cell_of[gi as usize]).input_cap_ff).sum();
+    let po = conn.po_fanout[net] as f64;
+    let fanout = s.len() as f64 + po;
+    pin_caps + fanout * library.wire_cap_per_fanout_ff + po * library.output_load_ff
+}
+
+/// [`net_load`] of every net of `netlist` — the load template
+/// [`MappedNetlist::map_with_parts`] expects alongside `cell_of`.
+pub(crate) fn net_loads(
+    netlist: &Netlist,
+    library: &Library,
+    conn: &NetConn,
+    cell_of: &[usize],
+) -> Vec<f64> {
+    (0..netlist.num_nets() as usize).map(|net| net_load(library, conn, cell_of, net)).collect()
+}
+
 /// Either owns its connectivity tables or borrows shared ones.
 #[derive(Debug, Clone)]
 enum ConnStore<'a> {
@@ -185,45 +208,51 @@ impl ConnStore<'_> {
 }
 
 /// A netlist bound to library cells, with per-instance drive
-/// strengths and precomputed fanout information for timing and power.
+/// strengths and cached per-net loads for timing and power.
 #[derive(Debug, Clone)]
 pub struct MappedNetlist<'a> {
     netlist: &'a Netlist,
     library: &'a Library,
     /// Cell index (into the library) of each gate instance.
     cell_of: Vec<usize>,
+    /// Capacitive load of each net in fF, equal bit for bit to
+    /// [`net_load`] under the current `cell_of`: a resize re-sums only
+    /// the nets its gate reads.
+    loads: Vec<f64>,
     conn: ConnStore<'a>,
 }
 
 impl<'a> MappedNetlist<'a> {
     /// Maps every gate to its X1 library cell.
     pub fn map(netlist: &'a Netlist, library: &'a Library) -> Self {
-        let cell_of =
-            netlist.gates().iter().map(|g| library.cell_index(g.kind, Drive::X1)).collect();
-        MappedNetlist { netlist, library, cell_of, conn: ConnStore::Owned(NetConn::build(netlist)) }
-    }
-
-    /// Maps every gate to its X1 cell, borrowing pre-built
-    /// connectivity tables instead of rebuilding them — the
-    /// incremental pipeline shares one patched [`NetConn`] across all
-    /// delay targets of a step.
-    pub fn map_with_conn(netlist: &'a Netlist, library: &'a Library, conn: &'a NetConn) -> Self {
         let cell_of = x1_cell_of(netlist, library);
-        Self::map_with_parts(netlist, library, conn, cell_of)
+        let conn = NetConn::build(netlist);
+        let loads = net_loads(netlist, library, &conn, &cell_of);
+        MappedNetlist { netlist, library, cell_of, loads, conn: ConnStore::Owned(conn) }
     }
 
-    /// Maps with a precomputed all-X1 cell binding (the incremental
-    /// pipeline keeps one as a patched template and hands each delay
-    /// target a memcpy of it, skipping the per-gate library lookups).
+    /// Maps with a precomputed all-X1 cell binding and its net loads,
+    /// borrowing pre-built connectivity tables. The incremental
+    /// pipeline keeps all three as templates patched per step, shares
+    /// the tables across delay targets, and hands each mapping a
+    /// memcpy of the binding and loads instead of per-gate lookups.
     pub fn map_with_parts(
         netlist: &'a Netlist,
         library: &'a Library,
         conn: &'a NetConn,
         cell_of: Vec<usize>,
+        loads: Vec<f64>,
     ) -> Self {
         debug_assert!(conn.sinks.len() >= netlist.num_nets() as usize);
         debug_assert_eq!(cell_of, x1_cell_of(netlist, library), "stale cell template");
-        MappedNetlist { netlist, library, cell_of, conn: ConnStore::Borrowed(conn) }
+        debug_assert!(
+            loads
+                .iter()
+                .map(|l| l.to_bits())
+                .eq(net_loads(netlist, library, conn, &cell_of).iter().map(|l| l.to_bits())),
+            "stale load template"
+        );
+        MappedNetlist { netlist, library, cell_of, loads, conn: ConnStore::Borrowed(conn) }
     }
 
     /// The source netlist.
@@ -241,10 +270,18 @@ impl<'a> MappedNetlist<'a> {
         self.library.cell(self.cell_of[gi])
     }
 
-    /// Rebinds gate `gi` to `drive`.
+    /// Rebinds gate `gi` to `drive`, re-summing the loads of the nets
+    /// it reads (their sink caps changed).
     pub fn set_drive(&mut self, gi: usize, drive: Drive) {
-        let kind = self.netlist.gates()[gi].kind;
-        self.cell_of[gi] = self.library.cell_index(kind, drive);
+        let g = &self.netlist.gates()[gi];
+        self.cell_of[gi] = self.library.cell_index(g.kind, drive);
+        let conn = self.conn.get();
+        for &i in g.inputs() {
+            if !i.is_const() {
+                self.loads[i.0 as usize] =
+                    net_load(self.library, conn, &self.cell_of, i.0 as usize);
+            }
+        }
     }
 
     /// `(gate, pin)` sinks of `net`.
@@ -263,14 +300,7 @@ impl<'a> MappedNetlist<'a> {
     /// Capacitive load on `net` in fF: sink pin caps, wire estimate,
     /// and primary-output loads.
     pub fn load_ff(&self, net: rlmul_rtl::NetId) -> f64 {
-        let lib = self.library;
-        let conn = self.conn.get();
-        let s = &conn.sinks[net.0 as usize];
-        let pin_caps: f64 = s.iter().map(|&(gi, _)| self.cell_of(gi as usize).input_cap_ff).sum();
-        let fanout = s.len() as f64 + conn.po_fanout[net.0 as usize] as f64;
-        pin_caps
-            + fanout * lib.wire_cap_per_fanout_ff
-            + conn.po_fanout[net.0 as usize] as f64 * lib.output_load_ff
+        self.loads[net.0 as usize]
     }
 
     /// Total cell area in µm².

@@ -8,7 +8,7 @@
 //! the cell table.
 
 use crate::map::MappedNetlist;
-use rlmul_rtl::GateKind;
+use rlmul_rtl::{GateKind, Netlist};
 
 /// Power breakdown in mW.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -28,13 +28,26 @@ impl PowerReport {
 
 /// Estimates power at operating frequency `freq_ghz`.
 pub fn estimate(m: &MappedNetlist<'_>, freq_ghz: f64) -> PowerReport {
-    let n = m.netlist();
-    let num_nets = n.num_nets() as usize;
-    // Signal probability per net.
-    let mut p = vec![0.5f64; num_nets];
+    estimate_with(m, &signal_probabilities(m.netlist()), freq_ghz)
+}
+
+/// Signal probability of every net of `n`.
+pub(crate) fn signal_probabilities(n: &Netlist) -> Vec<f64> {
+    let mut p = vec![0.5f64; n.num_nets() as usize];
     p[0] = 0.0;
     p[1] = 1.0;
-    for g in n.gates() {
+    propagate_probabilities(n, &mut p, 0);
+    p
+}
+
+/// Propagates signal probabilities through `n.gates()[from..]`,
+/// writing each gate's output nets in `p`. Every other entry is read
+/// as is: constants must hold 0 and 1, primary inputs 0.5, and the
+/// outputs of gates before `from` their own probabilities. A gate's
+/// probability depends only on its fanin cone, so a netlist that
+/// keeps a gate prefix keeps the prefix's entries.
+pub(crate) fn propagate_probabilities(n: &Netlist, p: &mut [f64], from: usize) {
+    for g in &n.gates()[from..] {
         let a = p[g.ins[0].0 as usize];
         let b = p[g.ins[1].0 as usize];
         let c = p[g.ins[2].0 as usize];
@@ -69,6 +82,13 @@ pub fn estimate(m: &MappedNetlist<'_>, freq_ghz: f64) -> PowerReport {
             }
         }
     }
+}
+
+/// [`estimate`] over signal probabilities `p` already propagated for
+/// `m`'s netlist (see [`signal_probabilities`]); they depend on the
+/// netlist alone, so every mapping of it can share one vector.
+pub(crate) fn estimate_with(m: &MappedNetlist<'_>, p: &[f64], freq_ghz: f64) -> PowerReport {
+    let n = m.netlist();
     let vdd = m.library().vdd;
     let mut energy_fj_per_cycle = 0.0f64;
     let mut leakage_nw = 0.0f64;

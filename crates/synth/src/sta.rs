@@ -15,8 +15,6 @@
 
 use crate::map::MappedNetlist;
 use rlmul_rtl::{Gate, GateKind, NetId};
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
 
 /// The inputs that output slot `k` of `g` actually depends on.
 fn arc_inputs(g: &Gate, k: usize) -> &[NetId] {
@@ -180,6 +178,50 @@ pub fn analyze(m: &MappedNetlist<'_>) -> TimingReport {
     report_from(m, arrivals)
 }
 
+/// The incremental engine's worklist: one bit per gate, popped lowest
+/// index first. Pushing an already-queued gate is a no-op, and a push
+/// below the last pop is still popped next, so the pop order is the
+/// one a deduplicated min-heap would give.
+#[derive(Debug, Clone, Default)]
+struct Worklist {
+    words: Vec<u64>,
+    /// Words below `lo` or above `hi` are all zero; `lo > hi` when
+    /// the list is empty.
+    lo: usize,
+    hi: usize,
+}
+
+impl Worklist {
+    /// An empty list over `gates` gates.
+    fn reset(&mut self, gates: usize) {
+        self.words.clear();
+        self.words.resize(gates.div_ceil(64), 0);
+        (self.lo, self.hi) = (usize::MAX, 0);
+    }
+
+    #[inline]
+    fn push(&mut self, gi: usize) {
+        let w = gi / 64;
+        self.words[w] |= 1 << (gi % 64);
+        self.lo = self.lo.min(w);
+        self.hi = self.hi.max(w);
+    }
+
+    #[inline]
+    fn pop(&mut self) -> Option<usize> {
+        while self.lo <= self.hi {
+            let word = self.words[self.lo];
+            if word != 0 {
+                self.words[self.lo] = word & (word - 1);
+                return Some(self.lo * 64 + word.trailing_zeros() as usize);
+            }
+            self.lo += 1;
+        }
+        (self.lo, self.hi) = (usize::MAX, 0);
+        None
+    }
+}
+
 /// Incremental timing engine for the sizing loop.
 ///
 /// After a batch of drive-strength changes, only the gates whose
@@ -193,17 +235,8 @@ pub fn analyze(m: &MappedNetlist<'_>) -> TimingReport {
 #[derive(Debug, Clone, Default)]
 pub struct IncrementalSta {
     arrivals: Vec<f64>,
-    queued: Vec<bool>,
+    work: Worklist,
     stats: StaStats,
-}
-
-/// Queue a gate for the topological worklist unless already queued.
-#[inline]
-fn push_gate(heap: &mut BinaryHeap<Reverse<u32>>, queued: &mut [bool], gi: usize) {
-    if !queued[gi] {
-        queued[gi] = true;
-        heap.push(Reverse(gi as u32));
-    }
 }
 
 impl IncrementalSta {
@@ -217,7 +250,7 @@ impl IncrementalSta {
     /// ready to be rebased onto an edited one via
     /// [`IncrementalSta::patch_baseline`].
     pub fn from_baseline(arrivals: Vec<f64>) -> Self {
-        IncrementalSta { arrivals, queued: Vec::new(), stats: StaStats::default() }
+        IncrementalSta { arrivals, work: Worklist::default(), stats: StaStats::default() }
     }
 
     /// Work counters accumulated so far.
@@ -240,7 +273,7 @@ impl IncrementalSta {
     pub fn analyze_full(&mut self, m: &MappedNetlist<'_>) -> TimingReport {
         let report = analyze(m);
         self.arrivals = report.arrivals.clone();
-        self.queued = vec![false; m.netlist().gates().len()];
+        self.work.reset(m.netlist().gates().len());
         self.stats.full_passes += 1;
         self.stats.full_gate_visits += m.netlist().gates().len();
         report
@@ -250,7 +283,7 @@ impl IncrementalSta {
     /// per-step baseline) without any propagation pass.
     pub fn seed(&mut self, m: &MappedNetlist<'_>, arrivals: Vec<f64>) {
         debug_assert_eq!(arrivals.len(), m.netlist().num_nets() as usize);
-        self.queued = vec![false; m.netlist().gates().len()];
+        self.work.reset(m.netlist().gates().len());
         self.arrivals = arrivals;
     }
 
@@ -260,20 +293,19 @@ impl IncrementalSta {
     pub fn propagate(&mut self, m: &MappedNetlist<'_>, resized: &[usize]) {
         assert!(!self.arrivals.is_empty(), "IncrementalSta::propagate before arrivals seeded");
         let gates = m.netlist().gates();
-        let mut heap: BinaryHeap<Reverse<u32>> = BinaryHeap::new();
 
         // Seeds: the resized gates (their drive resistance changed)
         // and the drivers of their input nets (their load changed via
         // the resized cell's input capacitance).
         for &gi in resized {
-            push_gate(&mut heap, &mut self.queued, gi);
+            self.work.push(gi);
             for &i in gates[gi].inputs() {
                 if let Some(d) = m.driver_of(i) {
-                    push_gate(&mut heap, &mut self.queued, d);
+                    self.work.push(d);
                 }
             }
         }
-        self.drain(m, heap);
+        self.drain(m);
         self.stats.incremental_passes += 1;
     }
 
@@ -301,20 +333,18 @@ impl IncrementalSta {
                 self.arrivals[net as usize] = 0.0;
             }
         }
-        self.queued.clear();
-        self.queued.resize(n.gates().len(), false);
-        let mut heap: BinaryHeap<Reverse<u32>> = BinaryHeap::new();
+        self.work.reset(n.gates().len());
         for &gi in seeds {
-            push_gate(&mut heap, &mut self.queued, gi);
+            self.work.push(gi);
         }
         // Suffix-gate sinks are themselves suffix gates (gate order is
         // topological, so drivers precede readers), hence queueing the
         // whole suffix makes stale change-detection on reused net ids
         // harmless.
         for gi in first_suffix_gate..n.gates().len() {
-            push_gate(&mut heap, &mut self.queued, gi);
+            self.work.push(gi);
         }
-        self.drain(m_new, heap);
+        self.drain(m_new);
         self.stats.incremental_passes += 1;
 
         #[cfg(debug_assertions)]
@@ -342,11 +372,9 @@ impl IncrementalSta {
     /// Topological worklist: ascending gate index equals topological
     /// order, and a changed net only ever wakes readers with larger
     /// indices, so every popped gate sees final fanin arrivals.
-    fn drain(&mut self, m: &MappedNetlist<'_>, mut heap: BinaryHeap<Reverse<u32>>) {
+    fn drain(&mut self, m: &MappedNetlist<'_>) {
         let gates = m.netlist().gates();
-        while let Some(Reverse(gi)) = heap.pop() {
-            let gi = gi as usize;
-            self.queued[gi] = false;
+        while let Some(gi) = self.work.pop() {
             self.stats.incremental_gate_visits += 1;
             let g = &gates[gi];
             let mut before = [0.0f64; 3];
@@ -357,7 +385,7 @@ impl IncrementalSta {
             for (k, &o) in g.outputs().iter().enumerate() {
                 if self.arrivals[o.0 as usize] != before[k] {
                     for &(sink, _) in m.sinks(o) {
-                        push_gate(&mut heap, &mut self.queued, sink as usize);
+                        self.work.push(sink as usize);
                     }
                 }
             }
