@@ -179,7 +179,9 @@ impl std::fmt::Debug for DqnSnapshot {
 ///
 /// # Errors
 ///
-/// Propagates environment (elaboration/synthesis) errors.
+/// [`RlMulError::InvalidConfig`] when `batch_size` is 0 or exceeds
+/// `replay_capacity`; propagates environment (elaboration/synthesis)
+/// errors.
 pub fn train_dqn(env: &mut MulEnv, config: &DqnConfig) -> Result<OptimizationOutcome, RlMulError> {
     train_dqn_with(env, config, &TrainHooks::default(), None)
 }
@@ -235,6 +237,14 @@ pub fn train_dqn_with(
     hooks: &TrainHooks,
     resume: Option<DqnSnapshot>,
 ) -> Result<OptimizationOutcome, RlMulError> {
+    if config.batch_size == 0 || config.replay_capacity < config.batch_size {
+        return Err(RlMulError::InvalidConfig {
+            what: format!(
+                "batch_size ({}) must be ≥ 1 and ≤ replay_capacity ({})",
+                config.batch_size, config.replay_capacity
+            ),
+        });
+    }
     let nn_before = NnStats::snapshot();
     let actions = env.action_space();
     let shape = env.tensor_shape();
@@ -541,6 +551,20 @@ mod tests {
             train_dqn(&mut env, &tiny_config()).unwrap().trajectory
         };
         assert_eq!(run(), run());
+    }
+
+    #[test]
+    fn zero_batch_is_invalid() {
+        let mut env = MulEnv::new(EnvConfig::new(4, PpgKind::And)).unwrap();
+        let cfg = DqnConfig { batch_size: 0, ..tiny_config() };
+        assert!(matches!(train_dqn(&mut env, &cfg), Err(RlMulError::InvalidConfig { .. })));
+    }
+
+    #[test]
+    fn replay_smaller_than_batch_is_invalid() {
+        let mut env = MulEnv::new(EnvConfig::new(4, PpgKind::And)).unwrap();
+        let cfg = DqnConfig { replay_capacity: 3, ..tiny_config() };
+        assert!(matches!(train_dqn(&mut env, &cfg), Err(RlMulError::InvalidConfig { .. })));
     }
 
     /// The single-net `update` interleaves an evaluation forward

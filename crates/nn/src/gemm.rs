@@ -1,14 +1,16 @@
 //! Shared dense matrix kernels for every layer in this crate.
 //!
-//! Three f32 GEMM variants cover the whole forward and backward hot
-//! path once convolutions are lowered through im2col:
+//! Three f32 GEMM variants cover the `Linear` layer:
 //!
-//! * [`gemm_nn`] — `C += A·B` (convolution forward, `Linear`
-//!   input-gradient),
-//! * [`gemm_nt`] — `C += A·Bᵀ` (`Linear` forward, convolution
-//!   weight-gradient),
-//! * [`gemm_tn`] — `C += Aᵀ·B` (`Linear` weight-gradient, convolution
-//!   input-gradient into column space).
+//! * [`gemm_nn`] — `C += A·B` (input gradient),
+//! * [`gemm_nt`] — `C += A·Bᵀ` (forward),
+//! * [`gemm_tn`] — `C += Aᵀ·B` (weight gradient).
+//!
+//! `Conv2d` runs the same inner kernels, in the same orders, on
+//! operands it never materializes as a matrix: `tile_k` reads each
+//! `B` row as a slice of the lowered input, and `nt_packed` reads
+//! patch rows as equal-length segments of it (see
+//! `im2col::Lowering`).
 //!
 //! All matrices are dense row-major slices. The kernels accumulate
 //! into `C` (callers initialize it with zeros or the layer bias).
@@ -28,7 +30,8 @@
 //!   the `k/8·8` prefix in ascending order), the lanes reduce as
 //!   `((l0+l4)+(l2+l6)) + ((l1+l5)+(l3+l7))`, the remainder products
 //!   add to that sequentially, and the total is added to `c[i][j]`.
-//!   It runs on a transposed copy of `B`, `NT_J` outputs per vector.
+//!   The operand with fewer rows is packed transposed, `NT_J` rows per
+//!   block, so one vector holds the same lane of `NT_J` outputs.
 //!
 //! The tests check each kernel against a naive loop written in this
 //! order with `to_bits` equality. Everything runs on the calling
@@ -59,60 +62,86 @@ struct Strided<'a> {
     col: usize,
 }
 
+/// The ascending-`k` register-tile loop: for each step `(a, at)` in
+/// order, `acc[r][c] = acc[r][c] + a[r] · b[at + c]`. The caller loads
+/// `acc` (from `C` or a bias), supplies per step `kk` the `R` values of
+/// column `kk` of `A` and where the `C` values of row `kk` of `B`
+/// start, and stores `acc`.
+#[inline(always)]
+pub(crate) fn tile_k<const R: usize, const C: usize>(
+    steps: impl Iterator<Item = ([f32; R], usize)>,
+    b: &[f32],
+    acc: &mut [[f32; C]; R],
+) {
+    for (av, at) in steps {
+        let bv = chunk::<C>(b, at);
+        for (row, a) in acc.iter_mut().zip(av) {
+            for (cv, &b) in row.iter_mut().zip(bv) {
+                *cv += a * b;
+            }
+        }
+    }
+}
+
+/// `C` consecutive values of `v` from `at` (panics past the end).
+#[inline(always)]
+pub(crate) fn chunk<const C: usize>(v: &[f32], at: usize) -> &[f32; C] {
+    v[at..].first_chunk().expect("GEMM: operand too short")
+}
+
 /// Covers the `m × n` output with column panels `NR` wide, then one
 /// `NR / 2` panel and single columns for the ragged right edge. Panels
 /// are outermost so one `k × C` slab of `B` stays in L1 across the
 /// panel's row tiles.
-fn tiled(a: Strided, b: &[f32], c: &mut [f32], m: usize, n: usize) {
+fn tiled(a: Strided, b: &[f32], c: &mut [f32], m: usize, k: usize, n: usize) {
     let mut j = 0;
     while j + NR <= n {
-        panel::<NR>(a, b, c, m, n, j);
+        panel::<NR>(a, b, c, m, k, n, j);
         j += NR;
     }
     if j + NR / 2 <= n {
-        panel::<{ NR / 2 }>(a, b, c, m, n, j);
+        panel::<{ NR / 2 }>(a, b, c, m, k, n, j);
         j += NR / 2;
     }
     for j in j..n {
-        panel::<1>(a, b, c, m, n, j);
+        panel::<1>(a, b, c, m, k, n, j);
     }
 }
 
 /// One `C`-wide column panel: `MR`-row tiles, then single rows.
-fn panel<const C: usize>(a: Strided, b: &[f32], c: &mut [f32], m: usize, n: usize, j: usize) {
+fn panel<const C: usize>(
+    a: Strided,
+    b: &[f32],
+    c: &mut [f32],
+    m: usize,
+    k: usize,
+    n: usize,
+    j: usize,
+) {
     let m_main = m - m % MR;
     for i in (0..m_main).step_by(MR) {
-        tile::<MR, C>(a, b, c, n, i, j);
+        tile::<MR, C>(a, b, c, k, n, i, j);
     }
     for i in m_main..m {
-        tile::<1, C>(a, b, c, n, i, j);
+        tile::<1, C>(a, b, c, k, n, i, j);
     }
 }
 
-/// Accumulates the full `k` loop into the `R × C` block of `C` whose
-/// top-left element is `(i, j)`: loaded once, stored once.
+/// The `R × C` block of `C` whose top-left element is `(i, j)`: loaded
+/// once, accumulated over the full `k` loop, stored once.
 #[inline(always)]
 fn tile<const R: usize, const C: usize>(
     a: Strided,
     b: &[f32],
     c: &mut [f32],
+    k: usize,
     n: usize,
     i: usize,
     j: usize,
 ) {
-    let mut acc = [[0.0f32; C]; R];
-    for (r, row) in acc.iter_mut().enumerate() {
-        row.copy_from_slice(&c[(i + r) * n + j..][..C]);
-    }
-    for (kk, brow) in b.chunks_exact(n).enumerate() {
-        let brow = &brow[j..j + C];
-        for (r, row) in acc.iter_mut().enumerate() {
-            let av = a.a[(i + r) * a.row + kk * a.col];
-            for (cv, &bv) in row.iter_mut().zip(brow) {
-                *cv += av * bv;
-            }
-        }
-    }
+    let mut acc: [[f32; C]; R] = std::array::from_fn(|r| *chunk(c, (i + r) * n + j));
+    let a_col = |kk| std::array::from_fn(|r| a.a[(i + r) * a.row + kk * a.col]);
+    tile_k((0..k).map(|kk| (a_col(kk), kk * n + j)), b, &mut acc);
     for (r, row) in acc.iter().enumerate() {
         c[(i + r) * n + j..][..C].copy_from_slice(row);
     }
@@ -121,55 +150,139 @@ fn tile<const R: usize, const C: usize>(
 /// `C[m×n] += A[m×k] · B[k×n]`, row-major.
 pub fn gemm_nn(a: &[f32], b: &[f32], c: &mut [f32], m: usize, k: usize, n: usize) {
     check_dims(a, b, c, m * k, k * n, m * n);
-    tiled(Strided { a, row: k, col: 1 }, b, c, m, n);
+    tiled(Strided { a, row: k, col: 1 }, b, c, m, k, n);
 }
 
 /// `C[m×n] += A[k×m]ᵀ · B[k×n]`, row-major.
 pub fn gemm_tn(a: &[f32], b: &[f32], c: &mut [f32], m: usize, k: usize, n: usize) {
     check_dims(a, b, c, k * m, k * n, m * n);
-    tiled(Strided { a, row: 1, col: m }, b, c, m, n);
+    tiled(Strided { a, row: 1, col: m }, b, c, m, k, n);
+}
+
+/// `C[m×n] += A[m×k] · B[n×k]ᵀ`, row-major: one eight-lane dot
+/// product per output element (see the order contract above).
+///
+/// From `NT_J` rows of both operands up, the operand with fewer rows
+/// is packed (see `nt_packed`); below that the dot products run on
+/// the operands as they are, one output per block.
+pub fn gemm_nt(a: &[f32], b: &[f32], c: &mut [f32], m: usize, k: usize, n: usize) {
+    check_dims(a, b, c, m * k, n * k, m * n);
+    let mut scratch = NtScratch::default();
+    if m.min(n) < NT_J {
+        let rows = NtRows::dense(a, k);
+        return nt_blocks(rows, m, k, b.as_chunks::<1>().0, n, &mut scratch.row, c, |i, j| {
+            i * n + j
+        });
+    }
+    let (a, b) = (NtRows::dense(a, k), NtRows::dense(b, k));
+    if n <= m {
+        nt_packed(a, m, k, b, n, &mut scratch, c, |i, j| i * n + j);
+    } else {
+        // Products commute bit for bit, so `A` can be the packed side.
+        nt_packed(b, n, k, a, m, &mut scratch, c, |i, j| j * n + i);
+    }
 }
 
 /// Columns of `C` per packed `gemm_nt` block: one 4-lane vector.
 const NT_J: usize = 4;
 
-/// `C[m×n] += A[m×k] · B[n×k]ᵀ`, row-major: one eight-lane dot
-/// product per output element (see the order contract above).
-///
-/// From `NT_J` rows of `A` up, `B` is first packed transposed in
-/// blocks of `NT_J` rows (zero rows pad the last block; their results
-/// are discarded), so each lane accumulator holds one lane of `NT_J`
-/// neighbouring outputs and the inner loop is a broadcast of
-/// `a[i][kk]` times one contiguous load. Fewer rows do not repay the
-/// packing and run on `B` as it is, in blocks of one row.
-pub fn gemm_nt(a: &[f32], b: &[f32], c: &mut [f32], m: usize, k: usize, n: usize) {
-    check_dims(a, b, c, m * k, n * k, m * n);
-    if m < NT_J {
-        return nt_blocks(a, b.as_chunks::<1>().0, c, m, k, n);
+/// Reusable buffers of the `gemm_nt` lane kernel.
+#[derive(Debug, Default)]
+pub(crate) struct NtScratch {
+    /// The packed operand.
+    packed: Vec<[f32; NT_J]>,
+    /// One row of a segmented row operand, gathered.
+    row: Vec<f32>,
+}
+
+/// The row operand of the `gemm_nt` lane kernel: row `i` is the `k`
+/// values at `v[base(i) + s·stride + q]` for segment `s` and `q < seg`,
+/// in ascending `(s, q)` order. A dense row-major matrix is one
+/// segment of `k` per row; a lowered convolution input is one `ow`
+/// segment per output row.
+pub(crate) struct NtRows<'a, F: Fn(usize) -> usize> {
+    pub(crate) v: &'a [f32],
+    pub(crate) base: F,
+    pub(crate) seg: usize,
+    pub(crate) stride: usize,
+}
+
+impl<'a> NtRows<'a, fn(usize) -> usize> {
+    /// The rows of a dense `? × k` matrix.
+    fn dense(v: &'a [f32], k: usize) -> NtRows<'a, impl Fn(usize) -> usize> {
+        NtRows { v, base: move |i| i * k, seg: k, stride: k }
     }
-    let mut bt = vec![[0.0f32; NT_J]; n.div_ceil(NT_J) * k];
+}
+
+impl<F: Fn(usize) -> usize> NtRows<'_, F> {
+    /// Row `i` as one slice: in place for a single segment, else
+    /// gathered into `buf`.
+    fn row<'s>(&'s self, i: usize, k: usize, buf: &'s mut Vec<f32>) -> &'s [f32] {
+        let base = (self.base)(i);
+        if self.seg == k {
+            return &self.v[base..][..k];
+        }
+        buf.resize(k, 0.0);
+        for (s, dst) in buf.chunks_exact_mut(self.seg).enumerate() {
+            dst.copy_from_slice(&self.v[base + s * self.stride..][..self.seg]);
+        }
+        buf
+    }
+}
+
+/// `C += A · Bᵀ` in the `gemm_nt` lane order for the `m` rows of `a`
+/// and the `n` rows of `b`; output `(i, j)` is added to
+/// `c[out(i, j)]`. `b` is packed transposed in blocks of `NT_J` rows
+/// (zero rows pad the last block; their results are discarded), so
+/// each lane accumulator holds one lane of `NT_J` neighbouring outputs
+/// and the inner loop is a broadcast of `a(i)[kk]` times one
+/// contiguous load.
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn nt_packed<F: Fn(usize) -> usize, G: Fn(usize) -> usize>(
+    a: NtRows<F>,
+    m: usize,
+    k: usize,
+    b: NtRows<G>,
+    n: usize,
+    scratch: &mut NtScratch,
+    c: &mut [f32],
+    out: impl Fn(usize, usize) -> usize,
+) {
+    let packed = &mut scratch.packed;
+    packed.clear();
+    packed.resize(n.div_ceil(NT_J) * k, [0.0; NT_J]);
     for j in 0..n {
-        for (t, &v) in bt[j / NT_J * k..][..k].iter_mut().zip(&b[j * k..][..k]) {
+        let brow = b.row(j, k, &mut scratch.row);
+        for (t, &v) in packed[j / NT_J * k..][..k].iter_mut().zip(brow) {
             t[j % NT_J] = v;
         }
     }
-    nt_blocks(a, &bt, c, m, k, n);
+    nt_blocks(a, m, k, packed, n, &mut scratch.row, c, out);
 }
 
-/// `gemm_nt` on `B` packed in blocks of `J` rows: `bt[jb·k + kk][jj]`
+/// The lane kernel on `B` packed in blocks of `J` rows: `bt[jb·k + kk][jj]`
 /// holds `b[jb·J + jj][kk]`.
-fn nt_blocks<const J: usize>(
-    a: &[f32],
-    bt: &[[f32; J]],
-    c: &mut [f32],
+///
+/// # Panics
+///
+/// Panics unless `rows` is one segment of `k` or a whole number of
+/// segments.
+#[allow(clippy::too_many_arguments)]
+fn nt_blocks<const J: usize, F: Fn(usize) -> usize>(
+    rows: NtRows<F>,
     m: usize,
     k: usize,
+    bt: &[[f32; J]],
     n: usize,
+    buf: &mut Vec<f32>,
+    c: &mut [f32],
+    out: impl Fn(usize, usize) -> usize,
 ) {
+    assert!(rows.seg == k || k.is_multiple_of(rows.seg), "gemm_nt: bad segments");
     let main = k / 8 * 8;
     for i in 0..m {
-        let (ach, arem) = a[i * k..(i + 1) * k].as_chunks::<8>();
-        for (jb, cblk) in c[i * n..(i + 1) * n].chunks_mut(J).enumerate() {
+        let (ach, arem) = rows.row(i, k, buf).as_chunks::<8>();
+        for jb in 0..n.div_ceil(J) {
             let (bmain, brem) = bt[jb * k..][..k].split_at(main);
             let mut lanes = [[0.0f32; J]; 8];
             for (av, bv) in ach.iter().zip(bmain.as_chunks::<8>().0) {
@@ -188,8 +301,8 @@ fn nt_blocks<const J: usize>(
                     acc[jj] += av * bv[jj];
                 }
             }
-            for (cv, v) in cblk.iter_mut().zip(acc) {
-                *cv += v;
+            for (jj, v) in acc.into_iter().enumerate().take(n - jb * J) {
+                c[out(i, jb * J + jj)] += v;
             }
         }
     }
@@ -311,6 +424,48 @@ mod tests {
             gemm_nt(&a, &b, &mut got, m, k, n);
             naive_lanes(&a, &b, &mut want, m, k, n);
             assert_bits(&format!("nt {m}x{k}x{n}"), &got, &want);
+        }
+    }
+
+    /// Both `nt_packed` orientations (either operand packed, output
+    /// stored transposed for the swapped one) and row operands given as
+    /// strided segments, gathered per row, against the documented lane
+    /// order on every shape.
+    #[test]
+    fn nt_orientations_and_segmented_rows_are_the_eight_lane_dot_bit_for_bit() {
+        for (s, &(m, k, n)) in SHAPES.iter().enumerate() {
+            let a = rand_mat(m, k, 3 * s as u64 + 13);
+            let b = rand_mat(n, k, 3 * s as u64 + 14);
+            let c0 = rand_mat(m, n, 3 * s as u64 + 15);
+            let mut want = c0.clone();
+            naive_lanes(&a, &b, &mut want, m, k, n);
+            let mut scratch = NtScratch::default();
+
+            let (ra, rb) = (|| NtRows::dense(&a, k), || NtRows::dense(&b, k));
+            let mut got = c0.clone();
+            nt_packed(ra(), m, k, rb(), n, &mut scratch, &mut got, |i, j| i * n + j);
+            assert_bits(&format!("nt packed B {m}x{k}x{n}"), &got, &want);
+
+            let mut got = c0.clone();
+            nt_packed(rb(), n, k, ra(), m, &mut scratch, &mut got, |j, i| i * n + j);
+            assert_bits(&format!("nt packed A {m}x{k}x{n}"), &got, &want);
+
+            // Rows of `A` in segments of every divisor of k, each
+            // segment followed by a gap of three values.
+            for seg in (1..k).filter(|seg| k % seg == 0) {
+                let stride = seg + 3;
+                let per_row = k / seg * stride;
+                let mut v = vec![f32::NAN; m * per_row];
+                for i in 0..m {
+                    for (q, chunk) in a[i * k..][..k].chunks_exact(seg).enumerate() {
+                        v[i * per_row + q * stride..][..seg].copy_from_slice(chunk);
+                    }
+                }
+                let rows = NtRows { v: &v, base: |i| i * per_row, seg, stride };
+                let mut got = c0.clone();
+                nt_packed(rows, m, k, rb(), n, &mut scratch, &mut got, |i, j| i * n + j);
+                assert_bits(&format!("nt segments of {seg} {m}x{k}x{n}"), &got, &want);
+            }
         }
     }
 

@@ -1,17 +1,175 @@
-//! Patch-matrix lowering for convolutions (im2col / col2im).
+//! Patch lowering for convolutions.
 //!
-//! One NCHW sample `c×h×w` expands into a `[c·k·k, oh·ow]` column
-//! matrix whose rows follow the weight layout `(ic, ky, kx)`; the
-//! convolution then becomes a single [`crate::gemm::gemm_nn`] call
-//! `W[oc, c·k·k] · cols`, and both gradients become one GEMM each
-//! (`gemm_nt` for the weight gradient, `gemm_tn` + [`col2im`] for the
-//! input gradient). Because the column rows keep the `(ic, ky, kx)`
-//! order of the naive kernel loops, the GEMM accumulates every output
-//! element in the same order as the reference implementation.
+//! `Lowering` is what `Conv2d` runs on: one sample's input,
+//! zero-padded and split into `stride × stride` phase planes, so that
+//! every tap `(ic, ky, kx)` of every output row is one contiguous
+//! slice. The forward, the weight gradient and the input-gradient
+//! scatter read and write those slices in place of a `[c·k·k, oh·ow]`
+//! patch matrix.
 //!
-//! Out-of-bounds taps (zero padding) are written as explicit zeros —
-//! the buffer is fully overwritten on every call, so layers can reuse
-//! one scratch allocation across steps without clearing it.
+//! [`im2col`] / [`col2im`] are that patch matrix and its adjoint
+//! scatter, rows ordered `(ic, ky, kx)` like the weights: the
+//! definition the lowered paths reproduce bit for bit, which the tests
+//! check. Out-of-bounds taps (zero padding) are written as explicit
+//! zeros — the buffer is fully overwritten on every call.
+
+/// The phase-plane layout of one convolution's input.
+///
+/// Padded coordinate `(y, x)` lives in plane `(y mod s, x mod s)` of
+/// its channel at `(y div s, x div s)`, so the tap `(ky, kx)` of
+/// output `(oy, ox)`, padded coordinate `(oy·s + ky, ox·s + kx)`, sits
+/// at row `oy + ky div s`, column `ox + kx div s` of one plane: for a
+/// fixed tap and output row the `ow` values are contiguous. Only the
+/// `min(s, k)` phases a tap can hit are stored, and only the
+/// `oh + (k−1) div s` rows and `ow + (k−1) div s` columns a tap can
+/// reach.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct Lowering {
+    c: usize,
+    h: usize,
+    w: usize,
+    k: usize,
+    stride: usize,
+    pad: usize,
+    /// Output rows and columns.
+    pub(crate) oh: usize,
+    pub(crate) ow: usize,
+    /// Stored phases per axis.
+    phases: usize,
+    /// Rows and columns of one phase plane.
+    ph: usize,
+    pub(crate) pw: usize,
+}
+
+impl Lowering {
+    /// The layout for a `c × h × w` input and a `k × k` kernel at the
+    /// given stride and padding (`h + 2·pad ≥ k`, `w + 2·pad ≥ k`).
+    pub(crate) fn new(c: usize, h: usize, w: usize, k: usize, stride: usize, pad: usize) -> Self {
+        let oh = (h + 2 * pad - k) / stride + 1;
+        let ow = (w + 2 * pad - k) / stride + 1;
+        let reach = (k - 1) / stride;
+        Lowering {
+            c,
+            h,
+            w,
+            k,
+            stride,
+            pad,
+            oh,
+            ow,
+            phases: stride.min(k),
+            ph: oh + reach,
+            pw: ow + reach,
+        }
+    }
+
+    /// Length of the lowered buffer.
+    pub(crate) fn len(&self) -> usize {
+        self.c * self.phases * self.phases * self.ph * self.pw
+    }
+
+    /// Offset of the first output row of tap `(ic, ky, kx)`; output row
+    /// `oy` of that tap starts `oy·pw` further on.
+    pub(crate) fn tap(&self, ic: usize, ky: usize, kx: usize) -> usize {
+        let (s, p) = (self.stride, self.phases);
+        ((ic * p + ky % s) * p + kx % s) * self.ph * self.pw + (ky / s) * self.pw + kx / s
+    }
+
+    /// [`Lowering::tap`] for every `(ic, ky, kx)` in weight order.
+    pub(crate) fn taps(&self, out: &mut Vec<usize>) {
+        out.clear();
+        for ic in 0..self.c {
+            for ky in 0..self.k {
+                for kx in 0..self.k {
+                    out.push(self.tap(ic, ky, kx));
+                }
+            }
+        }
+    }
+
+    /// The plane positions `lo..hi` of phase `phase`, along an axis
+    /// of `len` input values and `plane` positions, that are not
+    /// padding; position `b` in it reads input `b·s + phase − pad`.
+    fn span(&self, phase: usize, len: usize, plane: usize) -> (usize, usize) {
+        let s = self.stride;
+        let lo = self.pad.saturating_sub(phase).div_ceil(s);
+        let hi = (len + self.pad).saturating_sub(phase).div_ceil(s).min(plane);
+        (lo.min(hi), hi)
+    }
+
+    /// Writes the lowered form of one sample `x` (`c·h·w` values) into
+    /// `out` (`len()` values). Only the positions an input value lands
+    /// on are written: the padding positions must already hold zeros,
+    /// which every `lower` of the same layout leaves in place.
+    pub(crate) fn lower(&self, x: &[f32], out: &mut [f32]) {
+        assert_eq!(x.len(), self.c * self.h * self.w, "lower: input length mismatch");
+        assert_eq!(out.len(), self.len(), "lower: buffer length mismatch");
+        let (s, pad) = (self.stride, self.pad);
+        let mut planes = out.chunks_exact_mut(self.ph * self.pw);
+        for xc in x.chunks_exact(self.h * self.w) {
+            for py in 0..self.phases {
+                let (a_lo, a_hi) = self.span(py, self.h, self.ph);
+                for px in 0..self.phases {
+                    let (b_lo, b_hi) = self.span(px, self.w, self.pw);
+                    let plane = planes.next().expect("one plane per channel and phase");
+                    if b_lo == b_hi {
+                        continue;
+                    }
+                    for a in a_lo..a_hi {
+                        let xrow = &xc[(a * s + py - pad) * self.w..][..self.w];
+                        let prow = &mut plane[a * self.pw..][b_lo..b_hi];
+                        let x0 = b_lo * s + px - pad;
+                        if s == 1 {
+                            prow.copy_from_slice(&xrow[x0..][..prow.len()]);
+                        } else {
+                            for (v, &x) in prow.iter_mut().zip(xrow[x0..].iter().step_by(s)) {
+                                *v = x;
+                            }
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    /// The inverse of [`Lowering::lower`] for a gradient: overwrites
+    /// each element of `dx` (`c·h·w`) with its plane position in
+    /// `lowered`, or `+0.0` where no tap reaches it.
+    pub(crate) fn raise(&self, lowered: &[f32], dx: &mut [f32]) {
+        assert_eq!(dx.len(), self.c * self.h * self.w, "raise: output length mismatch");
+        assert_eq!(lowered.len(), self.len(), "raise: buffer length mismatch");
+        let (s, pad) = (self.stride, self.pad);
+        if s > 1 {
+            // Positions of a phase no tap hits stay zero.
+            dx.fill(0.0);
+        }
+        let mut planes = lowered.chunks_exact(self.ph * self.pw);
+        for dxc in dx.chunks_exact_mut(self.h * self.w) {
+            for py in 0..self.phases {
+                let (a_lo, a_hi) = self.span(py, self.h, self.ph);
+                for px in 0..self.phases {
+                    let (b_lo, b_hi) = self.span(px, self.w, self.pw);
+                    let plane = planes.next().expect("one plane per channel and phase");
+                    if b_lo == b_hi {
+                        continue;
+                    }
+                    for a in a_lo..a_hi {
+                        let drow = &mut dxc[(a * s + py - pad) * self.w..][..self.w];
+                        let prow = &plane[a * self.pw..][b_lo..b_hi];
+                        let x0 = b_lo * s + px - pad;
+                        if s == 1 {
+                            drow[x0..][..prow.len()].copy_from_slice(prow);
+                        } else {
+                            for (d, &v) in drow[x0..].iter_mut().step_by(s).zip(prow) {
+                                *d = v;
+                            }
+                        }
+                    }
+                }
+            }
+        }
+    }
+}
 
 /// Expands one sample `x` (`c·h·w` values) into `cols`
 /// (`c·k·k × oh·ow`, fully overwritten).
@@ -141,6 +299,84 @@ pub fn col2im(
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// `(c, h, w, k, stride, pad)` covering output widths 16, 8, 4,
+    /// 2 and ragged ones, strides 1 to 3, kernels of 1, 3 and 5 (one
+    /// larger than the unpadded input) and padding wider than the
+    /// kernel's reach.
+    const GEOMETRIES: [(usize, usize, usize, usize, usize, usize); 10] = [
+        (2, 16, 16, 3, 1, 1),
+        (8, 16, 16, 3, 2, 1),
+        (8, 16, 16, 1, 2, 0),
+        (16, 8, 8, 3, 1, 1),
+        (16, 8, 4, 3, 2, 1),
+        (3, 4, 2, 3, 1, 1),
+        (2, 7, 13, 3, 2, 1),
+        (1, 9, 11, 5, 3, 2),
+        (2, 3, 2, 5, 1, 2),
+        (1, 4, 5, 1, 1, 1),
+    ];
+
+    fn values(len: usize, salt: f32) -> Vec<f32> {
+        (0..len).map(|i| (i as f32 * salt).sin()).collect()
+    }
+
+    /// Every tap's lowered row segments are the patch matrix row, bit
+    /// for bit, including after a previous sample filled the buffer.
+    #[test]
+    fn lowered_taps_are_the_patch_matrix_rows() {
+        for &(c, h, w, k, stride, pad) in &GEOMETRIES {
+            let low = Lowering::new(c, h, w, k, stride, pad);
+            let (oh, ow) = (low.oh, low.ow);
+            let mut taps = Vec::new();
+            low.taps(&mut taps);
+            let mut lowered = vec![0.0; low.len()];
+            for salt in [0.37, 0.91] {
+                let x = values(c * h * w, salt);
+                low.lower(&x, &mut lowered);
+                let mut cols = vec![f32::NAN; c * k * k * oh * ow];
+                im2col(&x, c, h, w, k, stride, pad, oh, ow, &mut cols);
+                for (r, &tap) in taps.iter().enumerate() {
+                    for oy in 0..oh {
+                        for ox in 0..ow {
+                            let got = lowered[tap + oy * low.pw + ox];
+                            let want = cols[(r * oh + oy) * ow + ox];
+                            assert_eq!(got.to_bits(), want.to_bits(), "{c}x{h}x{w} k{k} s{stride}");
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    /// Adding column-space rows onto their lowered positions in
+    /// ascending row order and raising the result is `col2im`, bit for
+    /// bit.
+    #[test]
+    fn raised_scatter_is_col2im() {
+        for &(c, h, w, k, stride, pad) in &GEOMETRIES {
+            let low = Lowering::new(c, h, w, k, stride, pad);
+            let (oh, ow) = (low.oh, low.ow);
+            let mut taps = Vec::new();
+            low.taps(&mut taps);
+            let g = values(c * k * k * oh * ow, 0.71);
+            let mut lowered = vec![0.0; low.len()];
+            for (grow, &tap) in g.chunks_exact(oh * ow).zip(&taps) {
+                for (oy, seg) in grow.chunks_exact(ow).enumerate() {
+                    for (d, &v) in lowered[tap + oy * low.pw..][..ow].iter_mut().zip(seg) {
+                        *d += v;
+                    }
+                }
+            }
+            let mut got = vec![f32::NAN; c * h * w];
+            low.raise(&lowered, &mut got);
+            let mut want = vec![0.0; c * h * w];
+            col2im(&g, c, h, w, k, stride, pad, oh, ow, &mut want);
+            for (i, (a, b)) in got.iter().zip(&want).enumerate() {
+                assert_eq!(a.to_bits(), b.to_bits(), "{c}x{h}x{w} k{k} s{stride}: dx[{i}]");
+            }
+        }
+    }
 
     #[test]
     fn identity_geometry_copies_each_pixel_once() {

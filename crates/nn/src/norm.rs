@@ -5,6 +5,9 @@ use crate::tensor::Tensor;
 
 /// Per-channel batch normalization with learned scale/shift and
 /// running statistics for evaluation mode.
+///
+/// The owning paths normalize in place; the training forward keeps
+/// `x̂` in a buffer reused across steps.
 #[derive(Debug)]
 pub struct BatchNorm2d {
     gamma: Param,
@@ -19,7 +22,7 @@ pub struct BatchNorm2d {
 
 #[derive(Debug)]
 struct BnCache {
-    x_hat: Tensor,
+    x_hat: Vec<f32>,
     inv_std: Vec<f32>,
     count: usize,
 }
@@ -39,6 +42,9 @@ impl BatchNorm2d {
     }
 }
 
+/// Channels whose reduction chains [`channel_sums`] runs side by side.
+const GROUP: usize = 8;
+
 /// Index range of the contiguous `h·w` plane of sample `ni`, channel
 /// `ch` in an NCHW buffer. Walking a channel's planes in ascending
 /// sample order visits its elements in `(n, h, w)` order — the order
@@ -48,97 +54,152 @@ fn plane(c: usize, hw: usize, ni: usize, ch: usize) -> std::ops::Range<usize> {
     start..start + hw
 }
 
-impl Layer for BatchNorm2d {
-    fn forward(&mut self, x: &Tensor, train: bool) -> Tensor {
-        let (n, c, h, w) = x.dims4();
-        let (count, hw) = (n * h * w, h * w);
-        let mut y = Tensor::zeros(x.shape());
-        let gamma = self.gamma.value.data();
-        let beta = self.beta.value.data();
-        let xd = x.data();
-        if train {
-            let mut x_hat = Tensor::zeros(x.shape());
-            let mut inv_std = vec![0.0f32; c];
-            for ch in 0..c {
-                let mut mean = 0.0f32;
-                for ni in 0..n {
-                    for &v in &xd[plane(c, hw, ni, ch)] {
-                        mean += v;
-                    }
-                }
-                mean /= count as f32;
-                let mut var = 0.0f32;
-                for ni in 0..n {
-                    for &v in &xd[plane(c, hw, ni, ch)] {
-                        let d = v - mean;
-                        var += d * d;
-                    }
-                }
-                var /= count as f32;
-                let istd = 1.0 / (var + self.eps).sqrt();
-                inv_std[ch] = istd;
-                self.running_mean[ch] =
-                    (1.0 - self.momentum) * self.running_mean[ch] + self.momentum * mean;
-                self.running_var[ch] =
-                    (1.0 - self.momentum) * self.running_var[ch] + self.momentum * var;
-                for ni in 0..n {
-                    let p = plane(c, hw, ni, ch);
-                    let (xp, hp) = (&xd[p.clone()], &mut x_hat.data_mut()[p.clone()]);
-                    let yp = &mut y.data_mut()[p];
-                    for ((&v, xh), yv) in xp.iter().zip(hp).zip(yp) {
-                        *xh = (v - mean) * istd;
-                        *yv = gamma[ch] * *xh + beta[ch];
+/// Per-channel sums `Σ term(ch, v)` over the elements of every
+/// channel, where `v` holds the element's value in each of the `S`
+/// buffers: each sum is one sequential chain from `+0.0` in `(n, h, w)`
+/// order. `GROUP` channels advance together, one element each in turn,
+/// so their chains overlap instead of waiting on each other; the order
+/// within each chain is unchanged.
+fn channel_sums<const S: usize>(
+    bufs: [&[f32]; S],
+    (n, c, hw): (usize, usize, usize),
+    term: impl Fn(usize, [f32; S]) -> [f32; S],
+) -> Vec<[f32; S]> {
+    // `e` indexes Q·S planes at once.
+    #[allow(clippy::needless_range_loop)]
+    fn group<const Q: usize, const S: usize>(
+        bufs: [&[f32]; S],
+        (n, c, hw): (usize, usize, usize),
+        ch0: usize,
+        term: &impl Fn(usize, [f32; S]) -> [f32; S],
+        out: &mut Vec<[f32; S]>,
+    ) {
+        let mut acc = [[0.0f32; S]; Q];
+        for ni in 0..n {
+            // Plane q of sample ni in buffer s, exactly hw long.
+            let start = plane(c, hw, ni, ch0).start;
+            let planes: [[&[f32]; S]; Q] =
+                std::array::from_fn(|q| std::array::from_fn(|s| &bufs[s][start + q * hw..][..hw]));
+            for e in 0..hw {
+                for q in 0..Q {
+                    let t = term(ch0 + q, std::array::from_fn(|s| planes[q][s][e]));
+                    for s in 0..S {
+                        acc[q][s] += t[s];
                     }
                 }
             }
-            self.cache = Some(BnCache { x_hat, inv_std, count });
+        }
+        out.extend(acc);
+    }
+    let mut out = Vec::with_capacity(c);
+    let main = c - c % GROUP;
+    for ch0 in (0..main).step_by(GROUP) {
+        group::<GROUP, S>(bufs, (n, c, hw), ch0, &term, &mut out);
+    }
+    for ch in main..c {
+        group::<1, S>(bufs, (n, c, hw), ch, &term, &mut out);
+    }
+    out
+}
+
+impl Layer for BatchNorm2d {
+    fn forward(&mut self, x: &Tensor, train: bool) -> Tensor {
+        self.forward_owned(x.clone(), train)
+    }
+
+    fn forward_owned(&mut self, mut x: Tensor, train: bool) -> Tensor {
+        let (n, c, h, w) = x.dims4();
+        let (count, hw) = (n * h * w, h * w);
+        let gamma = self.gamma.value.data();
+        let beta = self.beta.value.data();
+        if train {
+            let xd = x.data();
+            let dims = (n, c, hw);
+            let mut mean: Vec<f32> =
+                channel_sums([xd], dims, |_, v| v).into_iter().map(|[s]| s).collect();
+            for m in &mut mean {
+                *m /= count as f32;
+            }
+            let var: Vec<f32> = channel_sums([xd], dims, |ch, [v]| {
+                let d = v - mean[ch];
+                [d * d]
+            })
+            .into_iter()
+            .map(|[s]| s / count as f32)
+            .collect();
+            let mut cache = self.cache.take().unwrap_or(BnCache {
+                x_hat: Vec::new(),
+                inv_std: Vec::new(),
+                count,
+            });
+            cache.count = count;
+            cache.x_hat.resize(x.len(), 0.0);
+            cache.inv_std.clear();
+            for ch in 0..c {
+                let istd = 1.0 / (var[ch] + self.eps).sqrt();
+                cache.inv_std.push(istd);
+                self.running_mean[ch] =
+                    (1.0 - self.momentum) * self.running_mean[ch] + self.momentum * mean[ch];
+                self.running_var[ch] =
+                    (1.0 - self.momentum) * self.running_var[ch] + self.momentum * var[ch];
+            }
+            let xd = x.data_mut();
+            for ni in 0..n {
+                for ch in 0..c {
+                    let (mean, istd) = (mean[ch], cache.inv_std[ch]);
+                    let p = plane(c, hw, ni, ch);
+                    for (v, xh) in xd[p.clone()].iter_mut().zip(&mut cache.x_hat[p]) {
+                        *xh = (*v - mean) * istd;
+                        *v = gamma[ch] * *xh + beta[ch];
+                    }
+                }
+            }
+            self.cache = Some(cache);
         } else {
+            let xd = x.data_mut();
             for ch in 0..c {
                 let istd = 1.0 / (self.running_var[ch] + self.eps).sqrt();
                 let mean = self.running_mean[ch];
                 for ni in 0..n {
-                    let p = plane(c, hw, ni, ch);
-                    for (&v, yv) in xd[p.clone()].iter().zip(&mut y.data_mut()[p]) {
-                        *yv = gamma[ch] * ((v - mean) * istd) + beta[ch];
+                    for v in &mut xd[plane(c, hw, ni, ch)] {
+                        *v = gamma[ch] * ((*v - mean) * istd) + beta[ch];
                     }
                 }
             }
         }
-        y
+        x
     }
 
     fn backward(&mut self, grad_out: &Tensor) -> Tensor {
+        self.backward_owned(grad_out.clone())
+    }
+
+    fn backward_owned(&mut self, mut g: Tensor) -> Tensor {
         let cache = self.cache.as_ref().expect("forward(train) before backward");
-        let (n, c, h, w) = grad_out.dims4();
+        let (n, c, h, w) = g.dims4();
         let hw = h * w;
         let m = cache.count as f32;
-        let mut dx = Tensor::zeros(grad_out.shape());
         let gamma = self.gamma.value.data();
         let dgamma = self.gamma.grad.data_mut();
         let dbeta = self.beta.grad.data_mut();
-        let (gd, xhd) = (grad_out.data(), cache.x_hat.data());
-        for ch in 0..c {
-            let mut sum_dy = 0.0f32;
-            let mut sum_dy_xhat = 0.0f32;
-            for ni in 0..n {
-                let p = plane(c, hw, ni, ch);
-                for (&dy, &xh) in gd[p.clone()].iter().zip(&xhd[p]) {
-                    sum_dy += dy;
-                    sum_dy_xhat += dy * xh;
-                }
-            }
+        let xhd = &cache.x_hat;
+        let gd = g.data();
+        let sums = channel_sums([gd, xhd], (n, c, hw), |_, [dy, xh]| [dy, dy * xh]);
+        for (ch, &[sum_dy, sum_dy_xhat]) in sums.iter().enumerate() {
             dgamma[ch] += sum_dy_xhat;
             dbeta[ch] += sum_dy;
-            let k = gamma[ch] * cache.inv_std[ch];
-            for ni in 0..n {
+        }
+        let gd = g.data_mut();
+        for ni in 0..n {
+            for (ch, &[sum_dy, sum_dy_xhat]) in sums.iter().enumerate() {
+                let k = gamma[ch] * cache.inv_std[ch];
                 let p = plane(c, hw, ni, ch);
-                let (gp, hp) = (&gd[p.clone()], &xhd[p.clone()]);
-                for ((&dy, &xh), d) in gp.iter().zip(hp).zip(&mut dx.data_mut()[p]) {
-                    *d = k * (dy - sum_dy / m - xh * sum_dy_xhat / m);
+                for (d, &xh) in gd[p.clone()].iter_mut().zip(&xhd[p]) {
+                    *d = k * (*d - sum_dy / m - xh * sum_dy_xhat / m);
                 }
             }
         }
-        dx
+        g
     }
 
     fn visit_params(&mut self, f: &mut dyn FnMut(&mut Param)) {
@@ -272,7 +333,10 @@ mod tests {
     #[test]
     fn plane_walks_match_the_at4_loops_bit_for_bit() {
         let mut rng = StdRng::seed_from_u64(5);
-        for &(n, c, h, w) in &[(1, 1, 1, 1), (3, 2, 5, 3), (8, 16, 8, 8), (2, 5, 1, 7)] {
+        // Channel counts below, at and off the interleaved group size.
+        for &(n, c, h, w) in
+            &[(1, 1, 1, 1), (3, 2, 5, 3), (8, 16, 8, 8), (2, 5, 1, 7), (3, 12, 3, 5), (2, 8, 1, 1)]
+        {
             let mut bn = BatchNorm2d::new(c);
             let (gamma, beta) =
                 (Tensor::kaiming(&[c], 2, &mut rng), Tensor::kaiming(&[c], 2, &mut rng));

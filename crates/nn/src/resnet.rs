@@ -55,26 +55,34 @@ impl ResidualBlock {
 
 impl Layer for ResidualBlock {
     fn forward(&mut self, x: &Tensor, train: bool) -> Tensor {
-        // The main branch chains owned hand-offs after conv1 so the
-        // reshape/element-wise stages run in place.
-        let mut main = self.conv1.forward(x, train);
+        self.forward_owned(x.clone(), train)
+    }
+
+    fn forward_owned(&mut self, x: Tensor, train: bool) -> Tensor {
+        // Both branches chain owned hand-offs so the element-wise
+        // stages run in place; the skip branch takes `x` itself.
+        let mut main = self.conv1.forward(&x, train);
         main = self.bn1.forward_owned(main, train);
         main = self.relu1.forward_owned(main, train);
         main = self.conv2.forward_owned(main, train);
         main = self.bn2.forward_owned(main, train);
         let skip = match &mut self.downsample {
             Some((conv, bn)) => {
-                let s = conv.forward(x, train);
+                let s = conv.forward_owned(x, train);
                 bn.forward_owned(s, train)
             }
-            None => x.clone(),
+            None => x,
         };
         main.add_assign(&skip);
         self.relu_out.forward_owned(main, train)
     }
 
     fn backward(&mut self, grad_out: &Tensor) -> Tensor {
-        let g = self.relu_out.backward(grad_out);
+        self.backward_owned(grad_out.clone())
+    }
+
+    fn backward_owned(&mut self, grad_out: Tensor) -> Tensor {
+        let g = self.relu_out.backward_owned(grad_out);
         // Main branch.
         let mut gm = self.bn2.backward(&g);
         gm = self.conv2.backward_owned(gm);
@@ -84,7 +92,7 @@ impl Layer for ResidualBlock {
         // Skip branch.
         match &mut self.downsample {
             Some((conv, bn)) => {
-                let gs = bn.backward(&g);
+                let gs = bn.backward_owned(g);
                 let gs = conv.backward_owned(gs);
                 dx.add_assign(&gs);
             }
