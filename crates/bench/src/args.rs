@@ -38,9 +38,22 @@ impl Args {
         Args { values, flags }
     }
 
-    /// Typed lookup with a default.
+    /// Typed lookup with a default. A value that does not parse ends
+    /// the process with a usage error naming the option and the value.
     pub fn get<T: std::str::FromStr>(&self, key: &str, default: T) -> T {
-        self.values.get(key).and_then(|v| v.parse().ok()).unwrap_or(default)
+        self.try_get(key, default).unwrap_or_else(|e| {
+            eprintln!("error: {e}");
+            std::process::exit(2)
+        })
+    }
+
+    /// Typed lookup with a default; a value that does not parse is an
+    /// error naming the option and the value.
+    pub fn try_get<T: std::str::FromStr>(&self, key: &str, default: T) -> Result<T, String> {
+        match self.values.get(key) {
+            None => Ok(default),
+            Some(v) => v.parse().map_err(|_| format!("invalid value `{v}` for --{key}")),
+        }
     }
 
     /// String lookup with a default.
@@ -66,5 +79,13 @@ mod tests {
         assert!(a.flag("fast"));
         assert!(!a.flag("slow"));
         assert_eq!(a.get("missing", 7u32), 7);
+    }
+
+    #[test]
+    fn malformed_values_are_errors_not_defaults() {
+        let a = Args::from_tokens(["--steps", "abc", "--seed", "-1"].map(String::from));
+        assert_eq!(a.try_get("steps", 80usize), Err("invalid value `abc` for --steps".into()));
+        assert_eq!(a.try_get("seed", 1u64), Err("invalid value `-1` for --seed".into()));
+        assert_eq!(a.try_get("bits", 8usize), Ok(8));
     }
 }

@@ -77,7 +77,7 @@ pub(crate) fn elaborate_ct_span(
     cols: &[Vec<NetId>],
     state: &mut CtState,
     start: usize,
-    mut checkpoint: impl FnMut(usize, &NetlistBuilder, &[Vec<NetId>]),
+    mut checkpoint: impl FnMut(usize, &NetlistBuilder, &Vec<Vec<NetId>>),
 ) -> Result<(), RtlError> {
     let tensor = tree.assign_stages()?;
     let ncols = tree.matrix().num_columns();
@@ -88,17 +88,19 @@ pub(crate) fn elaborate_ct_span(
     debug_assert_eq!(row0.len(), start);
     debug_assert_eq!(row1.len(), start);
 
+    // Per-column work lists, reused from column to column.
+    let mut avail: VecDeque<NetId> = VecDeque::new();
+    let mut sums_next: Vec<NetId> = Vec::new();
     for (j, initial) in cols.iter().enumerate().skip(start) {
         checkpoint(j, b, carry_arrivals);
         let arrivals = std::mem::take(carry_arrivals);
         let depth = tensor.column_stages(j).len().max(arrivals.len());
-        let mut avail: VecDeque<NetId> = initial.clone().into();
-        let mut sums_next: Vec<NetId> = Vec::new();
+        avail.clear();
+        avail.extend(initial.iter().copied());
+        sums_next.clear();
         for stage in 0..depth {
             if stage > 0 {
-                for s in std::mem::take(&mut sums_next) {
-                    avail.push_back(s);
-                }
+                avail.extend(sums_next.drain(..));
             }
             if let Some(batch) = arrivals.get(stage) {
                 avail.extend(batch.iter().copied());
@@ -125,18 +127,13 @@ pub(crate) fn elaborate_ct_span(
             }
         }
         // Residual rows: whatever is still queued plus the last sums.
-        let mut residual: Vec<NetId> = avail.into();
-        residual.extend(sums_next);
-        let expected = residuals[j].max(0) as usize;
-        if residual.len() != expected {
-            return Err(RtlError::ResidualMismatch {
-                column: j,
-                expected: residuals[j],
-                got: residual.len(),
-            });
+        let got = avail.len() + sums_next.len();
+        if got != residuals[j].max(0) as usize {
+            return Err(RtlError::ResidualMismatch { column: j, expected: residuals[j], got });
         }
-        row0.push(residual.first().copied().unwrap_or(CONST0));
-        row1.push(residual.get(1).copied().unwrap_or(CONST0));
+        let mut residual = avail.iter().chain(&sums_next).copied();
+        row0.push(residual.next().unwrap_or(CONST0));
+        row1.push(residual.next().unwrap_or(CONST0));
     }
     Ok(())
 }

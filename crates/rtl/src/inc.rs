@@ -101,7 +101,7 @@ impl IncrementalMultiplier {
         let mut state = CtState::default();
         elaborate_ct_span(&mut builder, tree, &cols, &mut state, 0, |j, b, carry| {
             debug_assert_eq!(j, checkpoints.len());
-            checkpoints.push(ColumnCheckpoint { builder: b.checkpoint(), carry: carry.to_vec() });
+            checkpoints.push(ColumnCheckpoint { builder: b.checkpoint(), carry: carry.clone() });
         })?;
         let p = add(&mut builder, &state.row0, &state.row1, cpa);
         builder.output("p", &p);
@@ -157,7 +157,6 @@ impl IncrementalMultiplier {
         // Rewind to the top of column j_min and replay the rest.
         let ck = self.checkpoints[j_min].clone();
         self.builder.rewind(&ck.builder);
-        self.checkpoints.truncate(j_min);
         self.row0.truncate(j_min);
         self.row1.truncate(j_min);
         let mut state = CtState {
@@ -175,9 +174,11 @@ impl IncrementalMultiplier {
                 &mut state,
                 j_min,
                 |j, b, carry| {
-                    debug_assert_eq!(j, checkpoints.len());
-                    checkpoints
-                        .push(ColumnCheckpoint { builder: b.checkpoint(), carry: carry.to_vec() });
+                    // Every column keeps its checkpoint slot; refilling
+                    // it in place reuses the carry lists' allocations.
+                    let ck = &mut checkpoints[j];
+                    ck.builder = b.checkpoint();
+                    ck.carry.clone_from(carry);
                 },
             )?;
             let p = add(&mut self.builder, &state.row0, &state.row1, self.cpa);

@@ -21,6 +21,7 @@ pub const CONST1: NetId = NetId(1);
 
 impl NetId {
     /// Whether this net is one of the two constants.
+    #[inline]
     pub fn is_const(self) -> bool {
         self == CONST0 || self == CONST1
     }
@@ -62,6 +63,7 @@ pub enum GateKind {
 
 impl GateKind {
     /// Number of input pins.
+    #[inline]
     pub fn num_inputs(self) -> usize {
         match self {
             GateKind::Inv | GateKind::Buf | GateKind::Dff => 1,
@@ -78,6 +80,7 @@ impl GateKind {
     }
 
     /// Number of output pins.
+    #[inline]
     pub fn num_outputs(self) -> usize {
         match self {
             GateKind::HalfAdder | GateKind::FullAdder => 2,
@@ -105,11 +108,13 @@ pub struct Gate {
 
 impl Gate {
     /// The meaningful input nets.
+    #[inline]
     pub fn inputs(&self) -> &[NetId] {
         &self.ins[..self.kind.num_inputs()]
     }
 
     /// The meaningful output nets.
+    #[inline]
     pub fn outputs(&self) -> &[NetId] {
         &self.outs[..self.kind.num_outputs()]
     }

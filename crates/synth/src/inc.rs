@@ -5,11 +5,10 @@
 //! The session caches, between calls, everything a full run would
 //! rebuild from zero even though most of it did not change:
 //!
-//! * the previous netlist and its [`NetConn`] connectivity tables —
-//!   patched over the differing gate suffix instead of rebuilt;
-//! * the all-X1 cell binding and net loads every mapping starts from —
-//!   re-derived only for the suffix gates and the nets the edit
-//!   touched;
+//! * the previous netlist and the allocations of its [`NetConn`]
+//!   connectivity tables, which every call rebuilds in place;
+//! * the all-X1 cell binding every mapping starts from — rebound only
+//!   over the suffix gates — and the net loads under it;
 //! * the all-X1 baseline arrival times — rebased through the edit's
 //!   fanout cone by [`IncrementalSta::patch_baseline`] instead of a
 //!   whole-netlist propagation pass;
@@ -28,8 +27,8 @@
 //! debug-build oracle against a real full run).
 
 use crate::library::{Drive, Library};
-use crate::map::{net_load, net_loads, x1_cell_of, MappedNetlist, NetConn};
-use crate::power::{estimate_with, propagate_probabilities, signal_probabilities};
+use crate::map::{net_loads, x1_cell_of, MappedNetlist, NetConn};
+use crate::power::{propagate_probabilities, report_sums, signal_probabilities};
 use crate::size::{size_to_targets_seeded, TargetStop};
 use crate::sta::{worst_endpoint, IncrementalSta, StaStats};
 use crate::synth::{SynthesisOptions, SynthesisReport, Synthesizer};
@@ -75,14 +74,14 @@ impl PrevState {
         stop: &TargetStop,
     ) -> SynthesisReport {
         let delay = stop.worst_delay_ns.max(1e-6);
-        let power = estimate_with(m, &self.probs, 1.0 / delay);
+        let (power, area_um2, drive_histogram) = report_sums(m, &self.probs, 1.0 / delay);
         SynthesisReport {
-            area_um2: m.area_um2(),
+            area_um2,
             delay_ns: stop.worst_delay_ns,
             power_mw: power.total_mw(),
             target_delay_ns: o.target_delay_ns,
             met_target: stop.met_target,
-            drive_histogram: m.drive_histogram(),
+            drive_histogram,
             sizing_moves: stop.moves,
             num_cells: m.netlist().gates().len(),
             sta: stop.sta,
@@ -195,6 +194,7 @@ impl IncrementalSynthesis {
         // Min-area options report straight off the shared baseline.
         for (i, o) in options.iter().enumerate() {
             if o.target_delay_ns.is_none() {
+                let _r = obs.span("synth.inc_report");
                 let mapped = state.mapping(library);
                 let (worst, _) = worst_endpoint(&mapped, &state.baseline, Some(&state.dffs));
                 let stop = TargetStop {
@@ -210,7 +210,9 @@ impl IncrementalSynthesis {
         // Delay-targeted options with a common move budget share one
         // sizing trajectory: batch selection never reads the target,
         // so each option's independent run is a prefix of the
-        // tightest's, and its report is emitted at its stop point.
+        // tightest's, and its report is emitted at its stop point. The
+        // reports (power plus report fields) get their own child span,
+        // so this span's exclusive time is the trajectory alone.
         let _s = obs.span("synth.inc_sizing");
         for first in 0..options.len() {
             if options[first].target_delay_ns.is_none() || slots[first].is_some() {
@@ -230,7 +232,10 @@ impl IncrementalSynthesis {
                 budget,
                 state.baseline.clone(),
                 &state.dffs,
-                |m, ti, stop| slots[group[ti]] = Some(state.report(m, &options[group[ti]], stop)),
+                |m, ti, stop| {
+                    let _r = obs.span("synth.inc_report");
+                    slots[group[ti]] = Some(state.report(m, &options[group[ti]], stop));
+                },
             );
         }
         let reports: Vec<SynthesisReport> =
@@ -296,16 +301,18 @@ impl IncrementalSynthesis {
             _ => {
                 let conn = NetConn::build(netlist);
                 let cell_of = x1_cell_of(netlist, library);
-                let loads = net_loads(netlist, library, &conn, &cell_of);
+                let mut loads = Vec::new();
+                net_loads(netlist, library, &conn, &cell_of, &mut loads);
                 let mut state = PrevState {
                     netlist: netlist.clone(),
                     conn,
                     baseline: Vec::new(),
-                    dffs: dff_list(netlist, 0, &[]),
+                    dffs: Vec::new(),
                     cell_of,
                     loads,
                     probs: signal_probabilities(netlist),
                 };
+                extend_dffs(netlist, 0, &mut state.dffs);
                 state.baseline = crate::sta::analyze(&state.mapping(library)).arrivals;
                 return (state, SynthMode::Full);
             }
@@ -313,7 +320,7 @@ impl IncrementalSynthesis {
 
         let k = shared_gate_prefix(&prev.netlist, netlist);
         let PrevState {
-            netlist: old,
+            netlist: _,
             mut conn,
             baseline,
             mut dffs,
@@ -322,78 +329,67 @@ impl IncrementalSynthesis {
             mut probs,
         } = prev;
 
-        // Nets whose sinks or primary-output fanout the edit can
-        // change: every net the old or new suffix reads, and every
-        // primary-output bit.
-        conn.patch(&old, netlist, k);
-        let mut touched: Vec<NetId> = Vec::new();
-        for g in old.gates().iter().skip(k).chain(netlist.gates().iter().skip(k)) {
-            touched.extend(g.inputs().iter().copied());
-        }
-        for p in old.outputs().iter().chain(netlist.outputs()) {
-            touched.extend(p.bits.iter().copied());
-        }
-        // Their prefix drivers see a new output load. Collected against
-        // the *new* netlist's tables — stale old-only nets resolve to
-        // None and suffix drivers (≥ k) are queued anyway.
-        let mut seeds: Vec<usize> = touched
-            .iter()
-            .filter_map(|&net| conn.driver_index(net))
-            .filter(|&d| (d as usize) < k)
-            .map(|d| d as usize)
-            .collect();
-        seeds.sort_unstable();
-        seeds.dedup();
-
-        // Rebase the templates over the suffix: prefix bindings are
-        // all-X1 already, so only the new tail needs lookups, and only
-        // touched or newly numbered nets can carry a different load.
+        conn.rebuild(netlist);
+        // Prefix bindings are all-X1 already; only the new tail needs
+        // lookups.
         cell_of.truncate(k);
         cell_of.extend(netlist.gates()[k..].iter().map(|g| library.cell_index(g.kind, Drive::X1)));
+        // Every load is re-summed. A prefix gate whose output load moved
+        // seeds the baseline rebase; one whose loads all kept their bits
+        // keeps its arrival, since its cell did not change and its fanin
+        // is rebased before it is read.
+        let old_loads = std::mem::take(&mut loads);
+        net_loads(netlist, library, &conn, &cell_of, &mut loads);
+        let seeds: Vec<usize> = (0..loads.len().min(old_loads.len()))
+            .filter(|&net| loads[net] != old_loads[net])
+            .filter_map(|net| conn.driver_index(NetId(net as u32)))
+            .map(|d| d as usize)
+            .filter(|&d| d < k)
+            .collect();
         let nets = netlist.num_nets() as usize;
-        let known = loads.len().min(nets);
-        loads.resize(nets, 0.0);
-        let fresh = known..nets;
-        for net in touched.iter().map(|n| n.0 as usize).filter(|&n| n < known).chain(fresh) {
-            loads[net] = net_load(library, &conn, &cell_of, net);
-        }
         probs.resize(nets, 0.5);
         propagate_probabilities(netlist, &mut probs, k);
 
         dffs.retain(|&gi| (gi as usize) < k);
-        let mut state = PrevState {
+        extend_dffs(netlist, k, &mut dffs);
+
+        // The rebase reads the templates through a mapping that takes
+        // them over and hands them back uncopied.
+        let mapped = MappedNetlist::map_with_parts(netlist, library, &conn, cell_of, loads);
+        let mut sta = IncrementalSta::from_baseline(baseline);
+        sta.patch_baseline(&mapped, &seeds, k);
+        let (cell_of, loads) = mapped.into_parts();
+        let state = PrevState {
             netlist: netlist.clone(),
             conn,
-            baseline: Vec::new(),
-            dffs: dff_list(netlist, k, &dffs),
+            baseline: sta.into_arrivals(),
+            dffs,
             cell_of,
             loads,
             probs,
         };
-        let mut sta = IncrementalSta::from_baseline(baseline);
-        sta.patch_baseline(&state.mapping(library), &seeds, k);
-        state.baseline = sta.into_arrivals();
         (state, SynthMode::Patched)
     }
 }
 
-/// Moves `prefix` + the Dff gates of `netlist.gates()[from..]` into
-/// one ascending list.
-fn dff_list(netlist: &Netlist, from: usize, prefix: &[u32]) -> Vec<u32> {
-    let mut dffs = prefix.to_vec();
+/// Appends the Dff gates of `netlist.gates()[from..]` to `dffs`, in
+/// ascending order.
+fn extend_dffs(netlist: &Netlist, from: usize, dffs: &mut Vec<u32>) {
     for (gi, g) in netlist.gates().iter().enumerate().skip(from) {
         if g.kind == GateKind::Dff {
             dffs.push(gi as u32);
         }
     }
-    dffs
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
     use rlmul_ct::{CompressorTree, PpgKind};
-    use rlmul_rtl::{IncrementalMultiplier, MultiplierNetlist};
+    use rlmul_rtl::{
+        elaborate_pipelined, AdderKind, IncrementalMultiplier, MultiplierNetlist, PipelineCuts,
+    };
 
     const TARGETS: [f64; 4] = [0.7, 0.85, 1.0, 1.15];
 
@@ -449,6 +445,107 @@ mod tests {
         let r = session.run_many(&nl, &[SynthesisOptions::default()]).unwrap();
         let o = Synthesizer::nangate45().run(&nl, &SynthesisOptions::default()).unwrap();
         assert_eq!(strip_sta(r.into_iter().next().unwrap()), strip_sta(o));
+    }
+
+    /// Checks the session's rebuilt connectivity table and cached load
+    /// template against a naive scan of `netlist`'s gates: every net's
+    /// `(gate, pin)` sinks in ascending order, its driver, its
+    /// primary-output fanout, and its load summed over those sinks.
+    fn tables_match_naive_scan(
+        session: &IncrementalSynthesis,
+        netlist: &Netlist,
+    ) -> Result<(), TestCaseError> {
+        let state = session.prev.as_ref().expect("a call left its state");
+        let nets = netlist.num_nets() as usize;
+        let mut sinks = vec![Vec::new(); nets];
+        let mut driver = vec![None; nets];
+        let mut po_fanout = vec![0u16; nets];
+        for (gi, g) in netlist.gates().iter().enumerate() {
+            for (pin, &net) in g.ins.iter().enumerate().take(g.kind.num_inputs()) {
+                if !net.is_const() {
+                    sinks[net.0 as usize].push((gi as u32, pin as u8));
+                }
+            }
+            for &net in &g.outs[..g.kind.num_outputs()] {
+                driver[net.0 as usize] = Some(gi as u32);
+            }
+        }
+        for &bit in netlist.outputs().iter().flat_map(|p| &p.bits) {
+            if !bit.is_const() {
+                po_fanout[bit.0 as usize] += 1;
+            }
+        }
+        let library = session.library();
+        let conn = &state.conn;
+        prop_assert_eq!(conn.num_nets(), nets);
+        for n in 0..nets {
+            let net = NetId(n as u32);
+            prop_assert_eq!(conn.sinks(net), &sinks[n][..], "sinks of net {}", n);
+            prop_assert_eq!(conn.driver_index(net), driver[n].filter(|_| !net.is_const()));
+            prop_assert_eq!(conn.po_fanout(net), po_fanout[n], "po fanout of net {}", n);
+            let pin_caps: f64 = sinks[n]
+                .iter()
+                .map(|&(gi, _)| {
+                    let kind = netlist.gates()[gi as usize].kind;
+                    library.cell(library.cell_index(kind, Drive::X1)).input_cap_ff
+                })
+                .sum();
+            let po = f64::from(po_fanout[n]);
+            let fanout = sinks[n].len() as f64 + po;
+            let load =
+                pin_caps + fanout * library.wire_cap_per_fanout_ff + po * library.output_load_ff;
+            prop_assert_eq!(state.loads[n].to_bits(), load.to_bits(), "load of net {}", n);
+        }
+        Ok(())
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(4))]
+
+        /// After every call of a seeded accept/reject walk — forward
+        /// edits and reverts alike — the connectivity table and the
+        /// load template equal a naive scan of the netlist. The walks
+        /// cover 8-bit AND, 6-bit MBE, and 6-bit AND with both pipeline
+        /// cuts registered, whose netlists carry Dff gates.
+        #[test]
+        fn tables_match_a_naive_scan_along_walks(seed in any::<u64>()) {
+            let registered = PipelineCuts { after_ppg: true, before_cpa: true };
+            for (bits, kind, cuts) in [
+                (8, PpgKind::And, PipelineCuts::default()),
+                (6, PpgKind::Mbe, PipelineCuts::default()),
+                (6, PpgKind::And, registered),
+            ] {
+                let elaborate = |t: &CompressorTree| {
+                    elaborate_pipelined(t, AdderKind::default(), cuts).unwrap()
+                };
+                let mut tree = CompressorTree::wallace(bits, kind).unwrap();
+                let mut session = IncrementalSynthesis::nangate45();
+                let start = elaborate(&tree);
+                let has_dffs = start.gates().iter().any(|g| g.kind == GateKind::Dff);
+                prop_assert_eq!(has_dffs, cuts == registered);
+                session.run_multi(&start, &TARGETS).unwrap();
+                tables_match_naive_scan(&session, &start)?;
+                let mut rng = seed;
+                let mut next = || {
+                    rng = rng.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+                    (rng >> 33) as usize
+                };
+                for _ in 0..8 {
+                    // Synthesize a proposal, then keep about half of
+                    // them, so the next call edits either the proposal
+                    // or the netlist before it.
+                    let actions = tree.valid_actions();
+                    let proposal = tree.apply_action(actions[next() % actions.len()]).unwrap();
+                    let netlist = elaborate(&proposal);
+                    session.run_multi(&netlist, &TARGETS).unwrap();
+                    prop_assert_eq!(session.last_mode(), Some(SynthMode::Patched));
+                    tables_match_naive_scan(&session, &netlist)?;
+                    if next() % 2 == 0 {
+                        tree = proposal;
+                    }
+                }
+            }
+        }
     }
 
     #[test]

@@ -5,7 +5,8 @@
 //! selection under a delay target — happens in the sizing pass.
 
 use crate::library::{Drive, Library};
-use rlmul_rtl::{GateKind, Netlist};
+use rlmul_rtl::{Gate, GateKind, NetId, Netlist};
+use std::borrow::Cow;
 
 pub(crate) fn kind_cell_stem(kind: GateKind) -> &'static str {
     match kind {
@@ -25,140 +26,117 @@ pub(crate) fn kind_cell_stem(kind: GateKind) -> &'static str {
     }
 }
 
-/// Per-net connectivity tables (sinks, drivers, primary-output
-/// fanout), factored out of [`MappedNetlist`] so one instance can be
-/// built once — or patched incrementally after a netlist splice — and
-/// then *shared* by several mappings (one per delay target in the
-/// evaluation pipeline).
+/// Per-net connectivity of one netlist in compressed sparse rows:
+/// every net's `(gate, pin)` sinks are one slice of a single entry
+/// table, next to the driver table and primary-output fanout. Factored
+/// out of [`MappedNetlist`] so one instance can be shared by several
+/// mappings (one per delay target in the evaluation pipeline).
 ///
-/// Sink lists are kept in ascending `(gate, pin)` order, exactly the
-/// order a from-scratch [`NetConn::build`] produces. That invariant
+/// Each sink slice is in ascending `(gate, pin)` order. That invariant
 /// matters: capacitive loads are floating-point sums over sink lists,
 /// and bit-identical synthesis numbers require summing in the same
 /// order.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct NetConn {
-    /// For every net: `(gate index, input pin)` sinks.
-    sinks: Vec<Vec<(u32, u8)>>,
-    /// For every net: the gate driving it (`None` for primary inputs
-    /// and constants).
-    driver: Vec<Option<u32>>,
+    /// Net `n`'s sinks are `sinks[offsets[n]..offsets[n + 1]]`.
+    offsets: Vec<u32>,
+    /// `(gate index, input pin)` sink entries, net by net.
+    sinks: Vec<(u32, u8)>,
+    /// For every net: the gate driving it, [`NO_DRIVER`] for primary
+    /// inputs, constants and unused ids.
+    driver: Vec<u32>,
     /// For every net: number of primary-output bits it drives.
     po_fanout: Vec<u16>,
 }
 
+/// [`NetConn::driver`] entry of an undriven net.
+const NO_DRIVER: u32 = u32::MAX;
+
+/// `(net, pin)` of every non-constant input of `g`.
+fn sinks_of(g: &Gate) -> impl Iterator<Item = (NetId, usize)> + '_ {
+    g.inputs().iter().enumerate().filter(|(_, i)| !i.is_const()).map(|(pin, &i)| (i, pin))
+}
+
 impl NetConn {
-    /// Builds the tables from scratch in one O(gates + nets) pass.
+    /// Builds the tables in O(gates + nets).
     pub fn build(netlist: &Netlist) -> Self {
-        let mut sinks = vec![Vec::new(); netlist.num_nets() as usize];
-        for (gi, g) in netlist.gates().iter().enumerate() {
-            for (pin, &inp) in g.inputs().iter().enumerate() {
-                if !inp.is_const() {
-                    sinks[inp.0 as usize].push((gi as u32, pin as u8));
-                }
-            }
-        }
-        let mut driver = vec![None; netlist.num_nets() as usize];
-        for (gi, g) in netlist.gates().iter().enumerate() {
-            for &o in g.outputs() {
-                driver[o.0 as usize] = Some(gi as u32);
-            }
-        }
-        let mut po_fanout = vec![0u16; netlist.num_nets() as usize];
-        for p in netlist.outputs() {
-            for &b in &p.bits {
-                if !b.is_const() {
-                    po_fanout[b.0 as usize] += 1;
-                }
-            }
-        }
-        NetConn { sinks, driver, po_fanout }
+        let mut conn = NetConn::default();
+        conn.rebuild(netlist);
+        conn
     }
 
-    /// Updates tables built for `old` to describe `new`, where the two
-    /// netlists share their first `shared_prefix` gates (and their
-    /// input ports). Cost is proportional to the differing suffixes,
-    /// not the circuit.
-    ///
-    /// The result is exactly `NetConn::build(new)` — order-preserving
-    /// removals plus ascending-index appends keep every sink list in
-    /// build order (debug builds assert the equality).
-    pub fn patch(&mut self, old: &Netlist, new: &Netlist, shared_prefix: usize) {
-        debug_assert!(old.gates()[..shared_prefix] == new.gates()[..shared_prefix]);
-        // Retract the old suffix while its net ids are still in range.
-        for (gi, g) in old.gates().iter().enumerate().skip(shared_prefix) {
-            for (pin, &inp) in g.inputs().iter().enumerate() {
-                if !inp.is_const() {
-                    let v = &mut self.sinks[inp.0 as usize];
-                    if let Some(pos) = v.iter().position(|&(s, p)| s == gi as u32 && p == pin as u8)
-                    {
-                        v.remove(pos); // order-preserving
-                    }
-                }
+    /// Rebuilds the tables for `netlist`, reusing their allocations.
+    /// A counting pass sizes every net's slice; a second pass over the
+    /// gates in ascending order then fills each slice in `(gate, pin)`
+    /// order.
+    pub fn rebuild(&mut self, netlist: &Netlist) {
+        let nets = netlist.num_nets() as usize;
+        // Sink counts land two slots up, so that after the prefix sum
+        // `offsets[n + 1]` is net `n`'s first slot and can serve as its
+        // fill cursor, ending as its one-past-last slot.
+        self.offsets.clear();
+        self.offsets.resize(nets + 2, 0);
+        for g in netlist.gates() {
+            for (net, _) in sinks_of(g) {
+                self.offsets[net.0 as usize + 2] += 1;
+            }
+        }
+        let mut end = 0;
+        for slot in &mut self.offsets[2..] {
+            end += *slot;
+            *slot = end;
+        }
+        self.sinks.clear();
+        self.sinks.resize(self.offsets[nets + 1] as usize, (0, 0));
+        self.driver.clear();
+        self.driver.resize(nets, NO_DRIVER);
+        for (gi, g) in netlist.gates().iter().enumerate() {
+            for (net, pin) in sinks_of(g) {
+                let cursor = &mut self.offsets[net.0 as usize + 1];
+                self.sinks[*cursor as usize] = (gi as u32, pin as u8);
+                *cursor += 1;
             }
             for &o in g.outputs() {
-                self.driver[o.0 as usize] = None;
+                self.driver[o.0 as usize] = gi as u32;
             }
         }
-        // Grow to the new net count if needed. Tables never shrink:
-        // when the net space contracts, the retraction above already
-        // emptied the tail entries (the shared prefix cannot reference
-        // suffix-created nets), and keeping them preserves each sink
-        // list's capacity for the next patch.
-        let nets = new.num_nets() as usize;
-        if self.sinks.len() < nets {
-            self.sinks.resize(nets, Vec::new());
-            self.driver.resize(nets, None);
-            self.po_fanout.resize(nets, 0);
-        }
-        // Register the new suffix; its gate indices all exceed every
-        // surviving prefix entry, so appends keep sink lists sorted.
-        for (gi, g) in new.gates().iter().enumerate().skip(shared_prefix) {
-            for (pin, &inp) in g.inputs().iter().enumerate() {
-                if !inp.is_const() {
-                    self.sinks[inp.0 as usize].push((gi as u32, pin as u8));
-                }
-            }
-            for &o in g.outputs() {
-                self.driver[o.0 as usize] = Some(gi as u32);
-            }
-        }
-        // Primary-output reads: O(output bits).
-        self.po_fanout.iter_mut().for_each(|c| *c = 0);
-        for p in new.outputs() {
+        self.offsets.pop();
+        self.po_fanout.clear();
+        self.po_fanout.resize(nets, 0);
+        for p in netlist.outputs() {
             for &b in &p.bits {
                 if !b.is_const() {
                     self.po_fanout[b.0 as usize] += 1;
                 }
             }
         }
-        debug_assert!(
-            self.agrees_with(&NetConn::build(new)),
-            "patched NetConn diverged from rebuild"
-        );
     }
 
-    /// Whether this table describes the same connectivity as `fresh`
-    /// (a from-scratch build), ignoring cleaned-out tail entries left
-    /// behind by a shrinking patch. Debug-validation helper.
-    fn agrees_with(&self, fresh: &NetConn) -> bool {
-        let n = fresh.sinks.len();
-        self.sinks.len() >= n
-            && self.sinks[..n] == fresh.sinks[..]
-            && self.driver[..n] == fresh.driver[..]
-            && self.po_fanout[..n] == fresh.po_fanout[..]
-            && self.sinks[n..].iter().all(Vec::is_empty)
-            && self.driver[n..].iter().all(Option::is_none)
-            && self.po_fanout[n..].iter().all(|&c| c == 0)
+    /// Number of nets described.
+    pub(crate) fn num_nets(&self) -> usize {
+        self.driver.len()
+    }
+
+    /// `(gate, pin)` sinks of `net`, in ascending order.
+    #[inline]
+    pub(crate) fn sinks(&self, net: NetId) -> &[(u32, u8)] {
+        let n = net.0 as usize;
+        &self.sinks[self.offsets[n] as usize..self.offsets[n + 1] as usize]
+    }
+
+    /// Number of primary-output bits `net` drives.
+    pub(crate) fn po_fanout(&self, net: NetId) -> u16 {
+        self.po_fanout[net.0 as usize]
     }
 
     /// Driving gate of `net`, `None` for primary inputs, constants,
-    /// and out-of-range ids (stale nets from a pre-patch netlist).
-    pub(crate) fn driver_index(&self, net: rlmul_rtl::NetId) -> Option<u32> {
+    /// and out-of-range ids (nets of an earlier netlist).
+    #[inline]
+    pub(crate) fn driver_index(&self, net: NetId) -> Option<u32> {
         if net.is_const() {
             return None;
         }
-        self.driver.get(net.0 as usize).copied().flatten()
+        self.driver.get(net.0 as usize).copied().filter(|&d| d != NO_DRIVER)
     }
 }
 
@@ -172,38 +150,39 @@ pub fn x1_cell_of(netlist: &Netlist, library: &Library) -> Vec<usize> {
 /// pin caps summed in sink order, wire estimate, and primary-output
 /// loads.
 pub(crate) fn net_load(library: &Library, conn: &NetConn, cell_of: &[usize], net: usize) -> f64 {
-    let s = &conn.sinks[net];
+    let s = conn.sinks(NetId(net as u32));
     let pin_caps: f64 =
         s.iter().map(|&(gi, _)| library.cell(cell_of[gi as usize]).input_cap_ff).sum();
-    let po = conn.po_fanout[net] as f64;
+    let po = conn.po_fanout(NetId(net as u32)) as f64;
     let fanout = s.len() as f64 + po;
     pin_caps + fanout * library.wire_cap_per_fanout_ff + po * library.output_load_ff
 }
 
-/// [`net_load`] of every net of `netlist` — the load template
-/// [`MappedNetlist::map_with_parts`] expects alongside `cell_of`.
+/// Overwrites `loads` with the [`net_load`] of every net of `netlist` —
+/// the load template [`MappedNetlist::map_with_parts`] expects
+/// alongside `cell_of`. The pin caps accumulate gate by gate, so each
+/// net's are summed in ascending `(gate, pin)` order — its sink order —
+/// without a pass over the sink table.
 pub(crate) fn net_loads(
     netlist: &Netlist,
     library: &Library,
     conn: &NetConn,
     cell_of: &[usize],
-) -> Vec<f64> {
-    (0..netlist.num_nets() as usize).map(|net| net_load(library, conn, cell_of, net)).collect()
-}
-
-/// Either owns its connectivity tables or borrows shared ones.
-#[derive(Debug, Clone)]
-enum ConnStore<'a> {
-    Owned(NetConn),
-    Borrowed(&'a NetConn),
-}
-
-impl ConnStore<'_> {
-    fn get(&self) -> &NetConn {
-        match self {
-            ConnStore::Owned(c) => c,
-            ConnStore::Borrowed(c) => c,
+    loads: &mut Vec<f64>,
+) {
+    loads.clear();
+    loads.resize(netlist.num_nets() as usize, 0.0);
+    for (g, &ci) in netlist.gates().iter().zip(cell_of) {
+        let cap = library.cell(ci).input_cap_ff;
+        for (net, _) in sinks_of(g) {
+            loads[net.0 as usize] += cap;
         }
+    }
+    for (net, load) in loads.iter_mut().enumerate() {
+        let net = NetId(net as u32);
+        let po = conn.po_fanout(net) as f64;
+        let fanout = conn.sinks(net).len() as f64 + po;
+        *load = *load + fanout * library.wire_cap_per_fanout_ff + po * library.output_load_ff;
     }
 }
 
@@ -219,7 +198,8 @@ pub struct MappedNetlist<'a> {
     /// [`net_load`] under the current `cell_of`: a resize re-sums only
     /// the nets its gate reads.
     loads: Vec<f64>,
-    conn: ConnStore<'a>,
+    /// Owned by a standalone mapping, borrowed when shared.
+    conn: Cow<'a, NetConn>,
 }
 
 impl<'a> MappedNetlist<'a> {
@@ -227,15 +207,17 @@ impl<'a> MappedNetlist<'a> {
     pub fn map(netlist: &'a Netlist, library: &'a Library) -> Self {
         let cell_of = x1_cell_of(netlist, library);
         let conn = NetConn::build(netlist);
-        let loads = net_loads(netlist, library, &conn, &cell_of);
-        MappedNetlist { netlist, library, cell_of, loads, conn: ConnStore::Owned(conn) }
+        let mut loads = Vec::new();
+        net_loads(netlist, library, &conn, &cell_of, &mut loads);
+        MappedNetlist { netlist, library, cell_of, loads, conn: Cow::Owned(conn) }
     }
 
     /// Maps with a precomputed all-X1 cell binding and its net loads,
     /// borrowing pre-built connectivity tables. The incremental
-    /// pipeline keeps all three as templates patched per step, shares
-    /// the tables across delay targets, and hands each mapping a
-    /// memcpy of the binding and loads instead of per-gate lookups.
+    /// pipeline keeps the binding and loads as templates patched per
+    /// step, shares the tables across delay targets, and hands each
+    /// mapping a memcpy of the binding and loads instead of per-gate
+    /// lookups.
     pub fn map_with_parts(
         netlist: &'a Netlist,
         library: &'a Library,
@@ -243,16 +225,22 @@ impl<'a> MappedNetlist<'a> {
         cell_of: Vec<usize>,
         loads: Vec<f64>,
     ) -> Self {
-        debug_assert!(conn.sinks.len() >= netlist.num_nets() as usize);
+        debug_assert_eq!(conn.num_nets(), netlist.num_nets() as usize, "stale connectivity");
         debug_assert_eq!(cell_of, x1_cell_of(netlist, library), "stale cell template");
         debug_assert!(
-            loads
-                .iter()
-                .map(|l| l.to_bits())
-                .eq(net_loads(netlist, library, conn, &cell_of).iter().map(|l| l.to_bits())),
+            loads.len() == netlist.num_nets() as usize
+                && loads.iter().enumerate().all(|(net, l)| {
+                    l.to_bits() == net_load(library, conn, &cell_of, net).to_bits()
+                }),
             "stale load template"
         );
-        MappedNetlist { netlist, library, cell_of, loads, conn: ConnStore::Borrowed(conn) }
+        MappedNetlist { netlist, library, cell_of, loads, conn: Cow::Borrowed(conn) }
+    }
+
+    /// Gives back the cell binding and net loads, e.g. templates lent
+    /// to [`MappedNetlist::map_with_parts`].
+    pub(crate) fn into_parts(self) -> (Vec<usize>, Vec<f64>) {
+        (self.cell_of, self.loads)
     }
 
     /// The source netlist.
@@ -275,7 +263,7 @@ impl<'a> MappedNetlist<'a> {
     pub fn set_drive(&mut self, gi: usize, drive: Drive) {
         let g = &self.netlist.gates()[gi];
         self.cell_of[gi] = self.library.cell_index(g.kind, drive);
-        let conn = self.conn.get();
+        let conn = &*self.conn;
         for &i in g.inputs() {
             if !i.is_const() {
                 self.loads[i.0 as usize] =
@@ -284,22 +272,25 @@ impl<'a> MappedNetlist<'a> {
         }
     }
 
+    /// The connectivity tables.
+    pub(crate) fn conn(&self) -> &NetConn {
+        &self.conn
+    }
+
     /// `(gate, pin)` sinks of `net`.
-    pub fn sinks(&self, net: rlmul_rtl::NetId) -> &[(u32, u8)] {
-        &self.conn.get().sinks[net.0 as usize]
+    pub fn sinks(&self, net: NetId) -> &[(u32, u8)] {
+        self.conn.sinks(net)
     }
 
     /// Gate driving `net`, or `None` for primary inputs and constants.
-    pub fn driver_of(&self, net: rlmul_rtl::NetId) -> Option<usize> {
-        if net.is_const() {
-            return None;
-        }
-        self.conn.get().driver[net.0 as usize].map(|gi| gi as usize)
+    pub fn driver_of(&self, net: NetId) -> Option<usize> {
+        self.conn.driver_index(net).map(|gi| gi as usize)
     }
 
     /// Capacitive load on `net` in fF: sink pin caps, wire estimate,
     /// and primary-output loads.
-    pub fn load_ff(&self, net: rlmul_rtl::NetId) -> f64 {
+    #[inline]
+    pub fn load_ff(&self, net: NetId) -> f64 {
         self.loads[net.0 as usize]
     }
 

@@ -28,7 +28,7 @@ impl PowerReport {
 
 /// Estimates power at operating frequency `freq_ghz`.
 pub fn estimate(m: &MappedNetlist<'_>, freq_ghz: f64) -> PowerReport {
-    estimate_with(m, &signal_probabilities(m.netlist()), freq_ghz)
+    report_sums(m, &signal_probabilities(m.netlist()), freq_ghz).0
 }
 
 /// Signal probability of every net of `n`.
@@ -85,16 +85,28 @@ pub(crate) fn propagate_probabilities(n: &Netlist, p: &mut [f64], from: usize) {
 }
 
 /// [`estimate`] over signal probabilities `p` already propagated for
-/// `m`'s netlist (see [`signal_probabilities`]); they depend on the
-/// netlist alone, so every mapping of it can share one vector.
-pub(crate) fn estimate_with(m: &MappedNetlist<'_>, p: &[f64], freq_ghz: f64) -> PowerReport {
+/// `m`'s netlist (see [`signal_probabilities`]; they depend on the
+/// netlist alone, so every mapping of it can share one vector),
+/// together with [`MappedNetlist::area_um2`] and
+/// [`MappedNetlist::drive_histogram`]. One pass over the gates feeds
+/// all the sums, each in gate order, so every one matches its
+/// stand-alone counterpart bit for bit.
+pub(crate) fn report_sums(
+    m: &MappedNetlist<'_>,
+    p: &[f64],
+    freq_ghz: f64,
+) -> (PowerReport, f64, [usize; 3]) {
     let n = m.netlist();
     let vdd = m.library().vdd;
     let mut energy_fj_per_cycle = 0.0f64;
     let mut leakage_nw = 0.0f64;
+    let mut area_um2 = 0.0f64;
+    let mut histogram = [0usize; 3];
     for (gi, g) in n.gates().iter().enumerate() {
         let cell = m.cell_of(gi);
         leakage_nw += cell.leakage_nw;
+        area_um2 += cell.area_um2;
+        histogram[cell.drive as usize] += 1;
         for &o in g.outputs() {
             let prob = p[o.0 as usize];
             let toggle = 2.0 * prob * (1.0 - prob);
@@ -105,7 +117,7 @@ pub(crate) fn estimate_with(m: &MappedNetlist<'_>, p: &[f64], freq_ghz: f64) -> 
     // fJ per cycle × GHz = µW.
     let dynamic_mw = energy_fj_per_cycle * freq_ghz / 1000.0;
     let leakage_mw = leakage_nw / 1.0e6;
-    PowerReport { dynamic_mw, leakage_mw }
+    (PowerReport { dynamic_mw, leakage_mw }, area_um2, histogram)
 }
 
 #[cfg(test)]

@@ -47,24 +47,14 @@ pub fn size_to_target(
     let mut sta = IncrementalSta::new();
     let mut timing = sta.analyze_full(m);
     let mut moves = 0;
-    let mut resized = Vec::with_capacity(MOVES_PER_PASS);
+    let mut batch = Batch::default();
     while timing.worst_delay_ns > target_ns && moves < max_moves {
-        let batch = best_moves(
-            m,
-            &timing.critical_path,
-            &timing.arrivals,
-            MOVES_PER_PASS.min(max_moves - moves),
-        );
-        if batch.is_empty() {
+        let limit = MOVES_PER_PASS.min(max_moves - moves);
+        if !batch.apply(m, &timing.critical_path, &timing.arrivals, limit) {
             break;
         }
-        resized.clear();
-        for &(gi, drive) in &batch {
-            m.set_drive(gi, drive);
-            resized.push(gi);
-        }
-        moves += batch.len();
-        timing = sta.update(m, &resized);
+        moves += batch.resized.len();
+        timing = sta.update(m, &batch.resized);
     }
     let met_target = timing.worst_delay_ns <= target_ns;
     SizingOutcome { timing, moves, met_target, sta: sta.stats() }
@@ -121,7 +111,8 @@ pub(crate) fn size_to_targets_seeded(
     let mut pending: Vec<(usize, f64)> = targets_ns.iter().copied().enumerate().collect();
     pending.sort_by(|a, b| a.1.partial_cmp(&b.1).expect("finite targets"));
     let mut moves = 0;
-    let mut resized = Vec::with_capacity(MOVES_PER_PASS);
+    let mut path = Vec::new();
+    let mut batch = Batch::default();
     loop {
         while let Some(&(idx, target)) = pending.last() {
             if worst > target {
@@ -135,18 +126,13 @@ pub(crate) fn size_to_targets_seeded(
         if pending.is_empty() || moves >= max_moves {
             break;
         }
-        let path = critical_path_from(m, sta.arrivals(), worst_net);
-        let batch = best_moves(m, &path, sta.arrivals(), MOVES_PER_PASS.min(max_moves - moves));
-        if batch.is_empty() {
+        critical_path_from(m, sta.arrivals(), worst_net, &mut path);
+        let limit = MOVES_PER_PASS.min(max_moves - moves);
+        if !batch.apply(m, &path, sta.arrivals(), limit) {
             break;
         }
-        resized.clear();
-        for &(gi, drive) in &batch {
-            m.set_drive(gi, drive);
-            resized.push(gi);
-        }
-        moves += batch.len();
-        sta.propagate(m, &resized);
+        moves += batch.resized.len();
+        sta.propagate(m, &batch.resized);
         (worst, worst_net) = worst_endpoint(m, sta.arrivals(), Some(dffs));
     }
     // Targets the trajectory never reached (move cap or no helpful
@@ -163,50 +149,77 @@ pub(crate) fn size_to_targets_seeded(
     }
 }
 
-/// Picks up to `limit` distinct critical-path upsizes with the best
-/// estimated gain-per-area among moves with positive estimated gain.
-fn best_moves(
-    m: &MappedNetlist<'_>,
-    critical_path: &[usize],
-    arrivals: &[f64],
-    limit: usize,
-) -> Vec<(usize, Drive)> {
-    let n = m.netlist();
-    let mut scored: Vec<(usize, Drive, f64)> = Vec::new();
-    for &gi in critical_path {
-        let cell = m.cell_of(gi);
-        let Some(up) = cell.drive.upsize() else { continue };
-        let upcell = m.library().cell(m.library().cell_index(n.gates()[gi].kind, up));
-        // Gain: lower drive resistance on our load …
-        let load: f64 = n.gates()[gi].outputs().iter().map(|&o| m.load_ff(o)).fold(0.0, f64::max);
-        let gain_out = (cell.drive_res_kohm - upcell.drive_res_kohm) * load / 1000.0;
-        // … minus extra input capacitance slowing the upstream driver.
-        // The path enters this gate through its latest-arriving input,
-        // so charge that pin's actual driver cell; primary inputs fall
-        // back to a typical X1 resistance.
-        let upstream_r = n.gates()[gi]
-            .inputs()
-            .iter()
-            .filter(|i| !i.is_const())
-            .max_by(|a, b| {
-                arrivals[a.0 as usize]
-                    .partial_cmp(&arrivals[b.0 as usize])
-                    .expect("arrivals are finite")
-            })
-            .and_then(|&i| m.driver_of(i))
-            .map(|d| m.cell_of(d).drive_res_kohm)
-            .unwrap_or(PRIMARY_INPUT_DRIVE_RES_KOHM);
-        let penalty = (upcell.input_cap_ff - cell.input_cap_ff) * upstream_r / 1000.0;
-        let gain = gain_out - penalty;
-        if gain <= 0.0 {
-            continue;
+/// One sizing batch's buffers, reused from batch to batch so the loop
+/// allocates nothing once they have grown.
+#[derive(Debug, Default)]
+struct Batch {
+    /// Candidate upsizes with their gain-per-area scores.
+    scored: Vec<(usize, Drive, f64)>,
+    /// Gates resized by the last [`Batch::apply`].
+    resized: Vec<usize>,
+}
+
+impl Batch {
+    /// Applies up to `limit` distinct critical-path upsizes with the
+    /// best estimated gain-per-area among moves with positive estimated
+    /// gain, recording them in `resized`. Returns whether any applied.
+    fn apply(
+        &mut self,
+        m: &mut MappedNetlist<'_>,
+        critical_path: &[usize],
+        arrivals: &[f64],
+        limit: usize,
+    ) -> bool {
+        self.score(m, critical_path, arrivals);
+        // Stable: equal scores keep critical-path order.
+        self.scored.sort_by(|a, b| b.2.partial_cmp(&a.2).expect("finite scores"));
+        self.scored.truncate(limit);
+        self.resized.clear();
+        for &(gi, drive, _) in &self.scored {
+            m.set_drive(gi, drive);
+            self.resized.push(gi);
         }
-        let darea = upcell.area_um2 - cell.area_um2;
-        scored.push((gi, up, gain / darea.max(1e-9)));
+        !self.resized.is_empty()
     }
-    scored.sort_by(|a, b| b.2.partial_cmp(&a.2).expect("finite scores"));
-    scored.truncate(limit);
-    scored.into_iter().map(|(gi, d, _)| (gi, d)).collect()
+
+    /// Fills `scored` with every positive-gain critical-path upsize, in
+    /// path order.
+    fn score(&mut self, m: &MappedNetlist<'_>, critical_path: &[usize], arrivals: &[f64]) {
+        let n = m.netlist();
+        self.scored.clear();
+        for &gi in critical_path {
+            let cell = m.cell_of(gi);
+            let Some(up) = cell.drive.upsize() else { continue };
+            let upcell = m.library().cell(m.library().cell_index(n.gates()[gi].kind, up));
+            // Gain: lower drive resistance on our load …
+            let load: f64 =
+                n.gates()[gi].outputs().iter().map(|&o| m.load_ff(o)).fold(0.0, f64::max);
+            let gain_out = (cell.drive_res_kohm - upcell.drive_res_kohm) * load / 1000.0;
+            // … minus extra input capacitance slowing the upstream
+            // driver. The path enters this gate through its
+            // latest-arriving input, so charge that pin's actual driver
+            // cell; primary inputs fall back to a typical X1 resistance.
+            let upstream_r = n.gates()[gi]
+                .inputs()
+                .iter()
+                .filter(|i| !i.is_const())
+                .max_by(|a, b| {
+                    arrivals[a.0 as usize]
+                        .partial_cmp(&arrivals[b.0 as usize])
+                        .expect("arrivals are finite")
+                })
+                .and_then(|&i| m.driver_of(i))
+                .map(|d| m.cell_of(d).drive_res_kohm)
+                .unwrap_or(PRIMARY_INPUT_DRIVE_RES_KOHM);
+            let penalty = (upcell.input_cap_ff - cell.input_cap_ff) * upstream_r / 1000.0;
+            let gain = gain_out - penalty;
+            if gain <= 0.0 {
+                continue;
+            }
+            let darea = upcell.area_um2 - cell.area_um2;
+            self.scored.push((gi, up, gain / darea.max(1e-9)));
+        }
+    }
 }
 
 #[cfg(test)]

@@ -61,26 +61,21 @@ impl StaStats {
     }
 }
 
-/// Evaluates the timing arcs of gate `gi`, writing the arrival of
-/// each output net. Shared verbatim by the full and incremental
-/// engines so their results are bit-identical.
+/// Arrival time of output slot `k` of gate `gi`, read off the current
+/// fanin `arrivals`. The one arc expression both engines evaluate, so
+/// their results are bit-identical.
 #[inline]
-fn propagate_gate(m: &MappedNetlist<'_>, gi: usize, g: &Gate, arrivals: &mut [f64]) {
+fn arc_arrival(m: &MappedNetlist<'_>, gi: usize, g: &Gate, k: usize, arrivals: &[f64]) -> f64 {
     let cell = m.cell_of(gi);
     if g.kind == GateKind::Dff {
         // Q is a startpoint: clk→Q only.
-        let q = g.outs[0];
-        arrivals[q.0 as usize] = cell.intrinsic_ns[0];
-        return;
+        return cell.intrinsic_ns[0];
     }
-    for (k, &o) in g.outputs().iter().enumerate() {
-        // Per-arc timing: the 4:2 compressor's cout depends only
-        // on its first three inputs (never on cin), so same-stage
-        // cout chains do not ripple.
-        let at_in = arc_inputs(g, k).iter().map(|&i| arrivals[i.0 as usize]).fold(0.0f64, f64::max);
-        let load = m.load_ff(o);
-        arrivals[o.0 as usize] = at_in + cell.intrinsic_ns[k] + cell.drive_res_kohm * load / 1000.0;
-    }
+    // Per-arc timing: the 4:2 compressor's cout depends only on its
+    // first three inputs (never on cin), so same-stage cout chains do
+    // not ripple.
+    let at_in = arc_inputs(g, k).iter().map(|&i| arrivals[i.0 as usize]).fold(0.0f64, f64::max);
+    at_in + cell.intrinsic_ns[k] + cell.drive_res_kohm * m.load_ff(g.outs[k]) / 1000.0
 }
 
 /// Endpoint scan: worst arrival over primary outputs, then flip-flop
@@ -123,15 +118,16 @@ pub(crate) fn worst_endpoint(
 }
 
 /// Critical-path extraction: walk max-arrival predecessors from the
-/// worst endpoint back to a startpoint. Gates are returned startpoint
-/// first.
+/// worst endpoint back to a startpoint. Overwrites `critical_path` with
+/// the path's gates, startpoint first.
 pub(crate) fn critical_path_from(
     m: &MappedNetlist<'_>,
     arrivals: &[f64],
     worst_net: Option<NetId>,
-) -> Vec<usize> {
+    critical_path: &mut Vec<usize>,
+) {
     let n = m.netlist();
-    let mut critical_path = Vec::new();
+    critical_path.clear();
     let mut cur = worst_net;
     while let Some(net) = cur {
         let Some(gi) = m.driver_of(net) else { break };
@@ -158,13 +154,13 @@ pub(crate) fn critical_path_from(
         }
     }
     critical_path.reverse();
-    critical_path
 }
 
 /// Endpoint scan and critical-path walk over finished arrivals.
 fn report_from(m: &MappedNetlist<'_>, arrivals: Vec<f64>) -> TimingReport {
     let (worst, worst_net) = worst_endpoint(m, &arrivals, None);
-    let critical_path = critical_path_from(m, &arrivals, worst_net);
+    let mut critical_path = Vec::new();
+    critical_path_from(m, &arrivals, worst_net, &mut critical_path);
     TimingReport { worst_delay_ns: worst, arrivals, critical_path }
 }
 
@@ -173,7 +169,9 @@ pub fn analyze(m: &MappedNetlist<'_>) -> TimingReport {
     let n = m.netlist();
     let mut arrivals = vec![0.0f64; n.num_nets() as usize];
     for (gi, g) in n.gates().iter().enumerate() {
-        propagate_gate(m, gi, g, &mut arrivals);
+        for (k, &o) in g.outputs().iter().enumerate() {
+            arrivals[o.0 as usize] = arc_arrival(m, gi, g, k, &arrivals);
+        }
     }
     report_from(m, arrivals)
 }
@@ -372,24 +370,27 @@ impl IncrementalSta {
     /// Topological worklist: ascending gate index equals topological
     /// order, and a changed net only ever wakes readers with larger
     /// indices, so every popped gate sees final fanin arrivals.
+    ///
+    /// One fused visit per popped gate: each output's arrival is
+    /// evaluated, stored, and — only if it moved — its sink slice of
+    /// the connectivity table is queued.
     fn drain(&mut self, m: &MappedNetlist<'_>) {
         let gates = m.netlist().gates();
+        let conn = m.conn();
+        let mut visits = 0;
         while let Some(gi) = self.work.pop() {
-            self.stats.incremental_gate_visits += 1;
+            visits += 1;
             let g = &gates[gi];
-            let mut before = [0.0f64; 3];
             for (k, &o) in g.outputs().iter().enumerate() {
-                before[k] = self.arrivals[o.0 as usize];
-            }
-            propagate_gate(m, gi, g, &mut self.arrivals);
-            for (k, &o) in g.outputs().iter().enumerate() {
-                if self.arrivals[o.0 as usize] != before[k] {
-                    for &(sink, _) in m.sinks(o) {
+                let at = arc_arrival(m, gi, g, k, &self.arrivals);
+                if std::mem::replace(&mut self.arrivals[o.0 as usize], at) != at {
+                    for &(sink, _) in conn.sinks(o) {
                         self.work.push(sink as usize);
                     }
                 }
             }
         }
+        self.stats.incremental_gate_visits += visits;
     }
 
     /// Re-propagates arrivals through the fanout cone of `resized`

@@ -2,7 +2,7 @@
 
 use crate::library::Library;
 use crate::map::MappedNetlist;
-use crate::power::estimate;
+use crate::power::{report_sums, signal_probabilities};
 use crate::size::size_to_target;
 use crate::sta::{analyze, StaStats};
 use crate::SynthError;
@@ -134,7 +134,8 @@ impl Synthesizer {
             ),
         };
         let delay = timing.worst_delay_ns.max(1e-6);
-        let power = estimate(&mapped, 1.0 / delay);
+        let (power, area_um2, drive_histogram) =
+            report_sums(&mapped, &signal_probabilities(netlist), 1.0 / delay);
         if obs.is_enabled() {
             obs.counter("rlmul_synth_runs_total", "Synthesis runs completed.").inc();
             obs.histogram("rlmul_synth_run_seconds", "Wall time per synthesis run.")
@@ -151,12 +152,12 @@ impl Synthesizer {
                 .add(sta.incremental_passes as u64);
         }
         Ok(SynthesisReport {
-            area_um2: mapped.area_um2(),
+            area_um2,
             delay_ns: timing.worst_delay_ns,
             power_mw: power.total_mw(),
             target_delay_ns: options.target_delay_ns,
             met_target: met,
-            drive_histogram: mapped.drive_histogram(),
+            drive_histogram,
             sizing_moves: moves,
             num_cells: netlist.gates().len(),
             sta,

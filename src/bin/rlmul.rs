@@ -228,8 +228,28 @@ fn parse_opts(tokens: Vec<String>) -> HashMap<String, String> {
     map
 }
 
-fn get<T: std::str::FromStr>(opts: &HashMap<String, String>, key: &str, default: T) -> T {
-    opts.get(key).and_then(|v| v.parse().ok()).unwrap_or(default)
+/// The value of `--key` parsed as `T`, or `default` when the option is
+/// absent. A value that does not parse is a usage error naming the
+/// option and the value, never a silent fallback to the default.
+fn get<T: std::str::FromStr>(
+    opts: &HashMap<String, String>,
+    key: &str,
+    default: T,
+) -> Result<T, String> {
+    match opts.get(key) {
+        None => Ok(default),
+        Some(v) if v.is_empty() => Err(format!("--{key} needs a value")),
+        Some(v) => v.parse().map_err(|_| format!("invalid value `{v}` for --{key}")),
+    }
+}
+
+/// `--steps` (default `default`), which must be at least 1: a run of
+/// zero steps has no trajectory to report.
+fn get_steps(opts: &HashMap<String, String>, default: usize) -> Result<usize, String> {
+    match get(opts, "steps", default)? {
+        0 => Err("--steps must be at least 1 (got 0)".to_owned()),
+        steps => Ok(steps),
+    }
 }
 
 fn parse_kind(opts: &HashMap<String, String>) -> Result<PpgKind, String> {
@@ -259,7 +279,7 @@ fn build_structure(
 }
 
 fn cmd_info(opts: &HashMap<String, String>) -> CliResult {
-    let bits: usize = get(opts, "bits", 8);
+    let bits: usize = get(opts, "bits", 8)?;
     let kind = parse_kind(opts)?;
     println!("{bits}-bit {kind} designs:");
     for (name, tree) in [
@@ -312,10 +332,13 @@ fn install_sigint() -> Arc<AtomicBool> {
 }
 
 fn cmd_train(opts: &HashMap<String, String>) -> CliResult {
-    let bits: usize = get(opts, "bits", 8);
+    let bits: usize = get(opts, "bits", 8)?;
     let kind = parse_kind(opts)?;
-    let steps: usize = get(opts, "steps", 80);
-    let seed: u64 = get(opts, "seed", 1);
+    let steps = get_steps(opts, 80)?;
+    let seed: u64 = get(opts, "seed", 1)?;
+    // Parsed before the telemetry file or checkpoint directory exists,
+    // so a bad value leaves nothing behind.
+    let checkpoint_every: usize = get(opts, "ckpt-every", 25)?;
     let mut env_cfg = EnvConfig::new(bits, kind);
     env_cfg.weights = match opts.get("pref").map(String::as_str).unwrap_or("tradeoff") {
         "area" => CostWeights::AREA,
@@ -328,9 +351,9 @@ fn cmd_train(opts: &HashMap<String, String>) -> CliResult {
         Some("on") => env_cfg.surrogate.enabled = true,
         Some(other) => return Err(format!("unknown --surrogate `{other}` (on|off)").into()),
     }
-    env_cfg.surrogate.topk = get(opts, "surrogate-topk", env_cfg.surrogate.topk);
+    env_cfg.surrogate.topk = get(opts, "surrogate-topk", env_cfg.surrogate.topk)?;
     env_cfg.surrogate.refresh_every =
-        get(opts, "surrogate-refresh", env_cfg.surrogate.refresh_every);
+        get(opts, "surrogate-refresh", env_cfg.surrogate.refresh_every)?;
     let method = opts.get("method").map(String::as_str).unwrap_or("a2c");
     if !matches!(method, "dqn" | "a2c" | "sa") {
         return Err(format!("unknown method `{method}` (dqn|a2c|sa)").into());
@@ -348,7 +371,7 @@ fn cmd_train(opts: &HashMap<String, String>) -> CliResult {
     let store =
         opts.get("ckpt-dir").filter(|p| !p.is_empty()).map(|dir| SnapshotStore::new(dir, method));
     hooks.store = store.clone();
-    hooks.checkpoint_every = get(opts, "ckpt-every", 25);
+    hooks.checkpoint_every = checkpoint_every;
     hooks.keep_history = opts.contains_key("keep-history");
     let stop = install_sigint();
     hooks.stop = Some(stop.clone());
@@ -483,8 +506,8 @@ fn cmd_serve(opts: &HashMap<String, String>) -> CliResult {
     let cfg = rlmul::serve::ServeConfig {
         addr: opts.get("addr").cloned().unwrap_or_else(|| "127.0.0.1:7171".into()),
         dir: opts.get("dir").cloned().unwrap_or_else(|| "serve-state".into()).into(),
-        workers: get(opts, "workers", 2),
-        http_workers: get(opts, "http-workers", 2),
+        workers: get(opts, "workers", 2)?,
+        http_workers: get(opts, "http-workers", 2)?,
     };
     let dir = cfg.dir.clone();
     let server = rlmul::serve::Server::start(cfg)?;
@@ -722,10 +745,10 @@ fn replay_event(reg: &rlmul::obs::Registry, e: &Event) {
 /// went: the nested span tree first (stderr), then collapsed stacks
 /// ready for a flamegraph renderer (stdout or `--out`).
 fn cmd_profile(opts: &HashMap<String, String>) -> CliResult {
-    let bits: usize = get(opts, "bits", 8);
+    let bits: usize = get(opts, "bits", 8)?;
     let kind = parse_kind(opts)?;
-    let steps: usize = get(opts, "steps", 12);
-    let seed: u64 = get(opts, "seed", 1);
+    let steps = get_steps(opts, 12)?;
+    let seed: u64 = get(opts, "seed", 1)?;
     let mut env_cfg = EnvConfig::new(bits, kind);
     env_cfg.weights = match opts.get("pref").map(String::as_str).unwrap_or("tradeoff") {
         "area" => CostWeights::AREA,
@@ -770,7 +793,7 @@ fn cmd_profile(opts: &HashMap<String, String>) -> CliResult {
 }
 
 fn cmd_export(opts: &HashMap<String, String>) -> CliResult {
-    let bits: usize = get(opts, "bits", 8);
+    let bits: usize = get(opts, "bits", 8)?;
     let kind = parse_kind(opts)?;
     let netlist = build_structure(opts, bits, kind)?;
     let verilog = to_verilog(&netlist);
@@ -785,7 +808,7 @@ fn cmd_export(opts: &HashMap<String, String>) -> CliResult {
 }
 
 fn cmd_verify(opts: &HashMap<String, String>) -> CliResult {
-    let bits: usize = get(opts, "bits", 8);
+    let bits: usize = get(opts, "bits", 8)?;
     let kind = parse_kind(opts)?;
     let netlist = build_structure(opts, bits, kind)?;
     if opts.contains_key("formal-cec") {
@@ -856,7 +879,7 @@ fn cmd_lint(opts: &HashMap<String, String>) -> CliResult {
     let netlist = match opts.get("in") {
         Some(path) if !path.is_empty() => from_verilog(&std::fs::read_to_string(path)?)?,
         _ => {
-            let bits: usize = get(opts, "bits", 8);
+            let bits: usize = get(opts, "bits", 8)?;
             let kind = parse_kind(opts)?;
             build_structure(opts, bits, kind)?
         }
@@ -870,13 +893,13 @@ fn cmd_lint(opts: &HashMap<String, String>) -> CliResult {
 }
 
 fn cmd_synth(opts: &HashMap<String, String>) -> CliResult {
-    let bits: usize = get(opts, "bits", 8);
+    let bits: usize = get(opts, "bits", 8)?;
     let kind = parse_kind(opts)?;
     let netlist = build_structure(opts, bits, kind)?;
     let synth = Synthesizer::nangate45();
-    let options = match opts.get("target") {
-        Some(t) => SynthesisOptions::with_target(t.parse()?),
-        None => SynthesisOptions::default(),
+    let options = match opts.contains_key("target") {
+        true => SynthesisOptions::with_target(get(opts, "target", 0.0)?),
+        false => SynthesisOptions::default(),
     };
     let r = synth.run(&netlist, &options)?;
     println!("area   {:>9.1} um^2", r.area_um2);
