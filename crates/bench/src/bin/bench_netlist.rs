@@ -8,7 +8,8 @@
 //! Run in release: debug builds re-run the full pipeline inside the
 //! incremental path as an oracle, which is the very cost being
 //! measured. `--ci-gate` runs the 16-bit comparison only and exits
-//! non-zero if the incremental path drops below 3x the full rebuild.
+//! non-zero if the incremental path drops below 3x the full rebuild
+//! or makes more than [`MAX_INC_ALLOCS_16`] allocations per step.
 
 use rlmul_bench::report::results_dir;
 use rlmul_ct::{CompressorTree, PpgKind};
@@ -182,29 +183,43 @@ fn assert_bit_identical(full: &ModeCost, inc: &ModeCost, bits: usize) {
     }
 }
 
-/// Median per-step wall times of the two paths at one width, in ms.
+/// Gate bound on allocations per 16-bit incremental step. Unlike the
+/// speedup, the count does not depend on how many cores the full
+/// path's threads get, so the bound can sit close to the measured
+/// count (94 when it was set).
+const MAX_INC_ALLOCS_16: f64 = 104.0;
+
+/// Median per-step wall times of the two paths at one width, in ms,
+/// and the incremental path's allocations per step.
 #[derive(Debug, Clone, Copy)]
 struct StepTimes {
     full_ms: f64,
     inc_ms: f64,
+    inc_allocs: f64,
 }
 
 impl StepTimes {
     fn speedup(self) -> f64 {
         self.full_ms / self.inc_ms
     }
+
+    /// Whether both gate bounds hold.
+    fn passes(self) -> bool {
+        self.speedup() >= 3.0 && self.inc_allocs <= MAX_INC_ALLOCS_16
+    }
 }
 
 impl std::fmt::Display for StepTimes {
     /// The ratio with the two times behind it, so a gate line shows
-    /// which path moved.
+    /// which path moved, and the allocation count.
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(
             f,
-            "{:.2}x (full {:.3} ms/step, incremental {:.3} ms/step)",
+            "{:.2}x (full {:.3} ms/step, incremental {:.3} ms/step, {:.0} allocs/step)",
             self.speedup(),
             self.full_ms,
-            self.inc_ms
+            self.inc_ms,
+            self.inc_allocs
         )
     }
 }
@@ -250,7 +265,11 @@ fn bench_width(bits: usize, steps: usize, json: &mut Json) -> StepTimes {
     json.field(&format!("inc_allocs_per_step_{bits}"), inc.allocs_per_step);
     json.field(&format!("speedup_{bits}"), speedup);
     print!("{}", rlmul_obs::render_span_tree(&inc_spans));
-    StepTimes { full_ms: full.secs_per_step * 1e3, inc_ms: inc.secs_per_step * 1e3 }
+    StepTimes {
+        full_ms: full.secs_per_step * 1e3,
+        inc_ms: inc.secs_per_step * 1e3,
+        inc_allocs: inc.allocs_per_step,
+    }
 }
 
 fn main() {
@@ -283,10 +302,11 @@ fn main() {
                 times_16 = Some(t);
             }
         }
-        let Some(t) = times_16.filter(|t| t.speedup() < 3.0) else { break };
+        let Some(t) = times_16.filter(|t| !t.passes()) else { break };
         if attempt + 1 < attempts {
             eprintln!(
-                "16-bit speedup {t} below the 3x gate; retrying (attempt {}/{attempts})",
+                "16-bit speedup {t} outside the gate (>= 3x, <= {MAX_INC_ALLOCS_16} \
+                 allocs/step); retrying (attempt {}/{attempts})",
                 attempt + 2
             );
         }
@@ -308,6 +328,13 @@ fn main() {
 
     if let Some(t) = times_16.filter(|_| ci_gate && !cfg!(debug_assertions)) {
         assert!(t.speedup() >= 3.0, "incremental pipeline regressed below 3x at 16 bits: {t}");
-        println!("ci-gate OK: 16-bit incremental speedup {t} >= 3x");
+        assert!(
+            t.inc_allocs <= MAX_INC_ALLOCS_16,
+            "incremental pipeline allocates more than {MAX_INC_ALLOCS_16} times per 16-bit \
+             step: {t}"
+        );
+        println!(
+            "ci-gate OK: 16-bit incremental speedup {t} >= 3x, <= {MAX_INC_ALLOCS_16} allocs/step"
+        );
     }
 }

@@ -635,9 +635,11 @@ impl MulEnv {
         let (evaluation, screened) =
             self.evaluate_screened(&next, Screen::TopK { action: action_index })?;
         let reward = self.current_cost - evaluation.cost;
-        obs.counter("rlmul_env_steps_total", "Environment steps taken across all envs.").inc();
-        obs.histogram("rlmul_env_step_reward_magnitude", "Absolute step reward (cost delta).")
-            .observe(reward.abs());
+        if obs.is_enabled() {
+            obs.counter("rlmul_env_steps_total", "Environment steps taken across all envs.").inc();
+            obs.histogram("rlmul_env_step_reward_magnitude", "Absolute step reward (cost delta).")
+                .observe(reward.abs());
+        }
         self.current = next;
         self.current_cost = evaluation.cost;
         self.steps_taken += 1;
@@ -1026,11 +1028,13 @@ impl MulEnv {
                             let _s = obs.span("elaborate");
                             state.mul.retarget(tree)?.size()
                         };
-                        obs.histogram(
-                            "rlmul_env_splice_gates",
-                            "Gates touched per incremental retarget (delta size).",
-                        )
-                        .observe(delta_size as f64);
+                        if obs.is_enabled() {
+                            obs.histogram(
+                                "rlmul_env_splice_gates",
+                                "Gates touched per incremental retarget (delta size).",
+                            )
+                            .observe(delta_size as f64);
+                        }
                         // check: allow(wall-clock) phase timing stats only
                         let t1 = Instant::now();
                         // Structural lint gate before every synthesis
@@ -1090,34 +1094,39 @@ impl MulEnv {
                 };
                 // check: allow(wall-clock) phase timing stats only
                 let t3 = Instant::now();
-                obs.labeled_counter(
-                    "rlmul_env_pipeline_total",
-                    "Evaluation-pipeline cache misses by pipeline mode.",
-                    &[("mode", mode)],
-                )
-                .inc();
                 self.stats.synthesis_calls += 1;
                 if self.trace.is_enabled() {
                     self.trace.emit("synth", &format!("targets={} mode={mode}", options.len()));
                 }
-                obs.counter(
-                    "rlmul_synth_calls_total",
-                    "Real synthesis pipeline invocations (cache misses that ran the synthesizer).",
-                )
-                .inc();
                 self.stats.synth_runs += reports.len();
                 for r in &reports {
                     self.stats.sta.merge(r.sta);
                 }
-                for (phase, from, to) in
-                    [("elaborate", t0, t1), ("lint", t1, t2), ("synth", t2, t3)]
-                {
-                    obs.labeled_histogram(
-                        "rlmul_env_phase_seconds",
-                        "Wall time per evaluation-pipeline phase.",
-                        &[("phase", phase)],
+                // Registering a metric allocates and locks the shared
+                // registry, so a switched-off registry skips it.
+                if obs.is_enabled() {
+                    obs.labeled_counter(
+                        "rlmul_env_pipeline_total",
+                        "Evaluation-pipeline cache misses by pipeline mode.",
+                        &[("mode", mode)],
                     )
-                    .observe((to - from).as_secs_f64());
+                    .inc();
+                    obs.counter(
+                        "rlmul_synth_calls_total",
+                        "Real synthesis pipeline invocations (cache misses that ran the \
+                         synthesizer).",
+                    )
+                    .inc();
+                    for (phase, from, to) in
+                        [("elaborate", t0, t1), ("lint", t1, t2), ("synth", t2, t3)]
+                    {
+                        obs.labeled_histogram(
+                            "rlmul_env_phase_seconds",
+                            "Wall time per evaluation-pipeline phase.",
+                            &[("phase", phase)],
+                        )
+                        .observe((to - from).as_secs_f64());
+                    }
                 }
                 if self.sink.is_enabled() {
                     // Phase timings mirror the trace-correlated

@@ -40,49 +40,22 @@ impl StageTensor {
         let mut stage_count = 0usize;
 
         for j in 0..ncols {
-            let arrivals = std::mem::take(&mut carry_arrivals);
-            let (mut rem32, mut rem22) = (matrix.count32(j), matrix.count22(j));
-            let mut per_stage: Vec<(u32, u32)> = Vec::new();
-            let mut avail: u32 = profile.columns()[j];
-            let mut sums_next: u32 = 0;
-            let mut stage = 0usize;
-            while rem32 > 0 || rem22 > 0 {
-                if stage > 0 {
-                    avail += sums_next + arrivals.get(stage).copied().unwrap_or(0);
-                } else {
-                    avail += arrivals.first().copied().unwrap_or(0);
-                }
-                let f = rem32.min(avail / 3);
-                avail -= 3 * f;
-                rem32 -= f;
-                let h = rem22.min(avail / 2);
-                avail -= 2 * h;
-                rem22 -= h;
-                per_stage.push((f, h));
-                sums_next = f + h;
+            let mut per_stage = Vec::new();
+            assign_column(
+                j,
+                profile.columns()[j],
+                (matrix.count32(j), matrix.count22(j)),
+                &carry_arrivals,
+                &mut per_stage,
+            )?;
+            carry_arrivals.clear();
+            for (stage, &(f, h)) in per_stage.iter().enumerate() {
                 if f + h > 0 {
-                    let slot = stage + 1;
-                    if carry_arrivals.len() <= slot {
-                        carry_arrivals.resize(slot + 1, 0);
-                    }
-                    carry_arrivals[slot] += f + h;
+                    carry_arrivals.resize(stage + 2, 0);
+                    carry_arrivals[stage + 1] += f + h;
                 }
-                let future_inputs = arrivals.iter().skip(stage + 1).sum::<u32>() + sums_next;
-                if f == 0 && h == 0 && future_inputs == 0 {
-                    return Err(CtError::AssignmentStuck { column: j });
-                }
-                stage += 1;
-                if stage > MAX_STAGES {
-                    return Err(CtError::AssignmentStuck { column: j });
-                }
-            }
-            // Trim trailing idle stages.
-            while matches!(per_stage.last(), Some(&(0, 0))) {
-                per_stage.pop();
             }
             stage_count = stage_count.max(per_stage.len());
-            // Carries into the column above must still be registered even
-            // if this column fired nothing (possible only when empty).
             columns.push(per_stage);
             // Arrivals not consumed here still travel to no one: they are
             // the residual rows of this column, which the final adder eats.
@@ -149,6 +122,63 @@ impl StageTensor {
                 .map(|col| col.iter().fold((0, 0), |(a, b), &(f, h)| (a + f, b + h))),
         )
     }
+}
+
+/// Paper Algorithm 1 on one column: places `counts` = `(3:2, 2:2)`
+/// compressors over the stages of column `column`, which starts with
+/// `rows` partial products and receives `arrivals[s]` carries at stage
+/// `s`. Writes the `(3:2, 2:2)` count fired at each stage into
+/// `stages` (cleared first; trailing idle stages trimmed).
+///
+/// A column's schedule depends only on its own counts and on the
+/// carries from the column below, so a caller that keeps the carries
+/// can resume the assignment at any column — the incremental
+/// elaborator schedules only the columns it replays.
+///
+/// # Errors
+///
+/// Returns [`CtError::AssignmentStuck`] if the compressors can never
+/// receive enough input rows (only possible for illegal matrices).
+pub fn assign_column(
+    column: usize,
+    rows: u32,
+    counts: (u32, u32),
+    arrivals: &[u32],
+    stages: &mut Vec<(u32, u32)>,
+) -> Result<(), CtError> {
+    stages.clear();
+    let (mut rem32, mut rem22) = counts;
+    let mut avail = rows;
+    let mut sums_next: u32 = 0;
+    let mut stage = 0usize;
+    while rem32 > 0 || rem22 > 0 {
+        if stage > 0 {
+            avail += sums_next + arrivals.get(stage).copied().unwrap_or(0);
+        } else {
+            avail += arrivals.first().copied().unwrap_or(0);
+        }
+        let f = rem32.min(avail / 3);
+        avail -= 3 * f;
+        rem32 -= f;
+        let h = rem22.min(avail / 2);
+        avail -= 2 * h;
+        rem22 -= h;
+        stages.push((f, h));
+        sums_next = f + h;
+        let future_inputs = arrivals.iter().skip(stage + 1).sum::<u32>() + sums_next;
+        if f == 0 && h == 0 && future_inputs == 0 {
+            return Err(CtError::AssignmentStuck { column });
+        }
+        stage += 1;
+        if stage > MAX_STAGES {
+            return Err(CtError::AssignmentStuck { column });
+        }
+    }
+    // Trim trailing idle stages.
+    while matches!(stages.last(), Some(&(0, 0))) {
+        stages.pop();
+    }
+    Ok(())
 }
 
 #[cfg(test)]

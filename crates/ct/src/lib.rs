@@ -50,7 +50,7 @@ mod render;
 mod tree;
 
 pub use action::{Action, ActionKind, ACTIONS_PER_COLUMN};
-pub use assign::StageTensor;
+pub use assign::{assign_column, StageTensor};
 pub use error::CtError;
 pub use matrix::CompressorMatrix;
 pub use profile::{mbe_constant, mbe_digit_count, PpProfile, PpgKind};

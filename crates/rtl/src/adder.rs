@@ -64,8 +64,7 @@ fn brent_kung(b: &mut NetlistBuilder, x: &[NetId], y: &[NetId]) -> Vec<NetId> {
     if n == 0 {
         return Vec::new();
     }
-    let (p, g) = prefix_pg(b, x, y);
-    let mut gg = g.clone();
+    let (p, mut gg) = prefix_pg(b, x, y);
     let mut pp = p.clone();
     let combine =
         |b: &mut NetlistBuilder, gg: &mut Vec<NetId>, pp: &mut Vec<NetId>, j: usize, k: usize| {

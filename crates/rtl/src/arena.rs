@@ -23,7 +23,7 @@
 //!   defect factory in [`crate::mutate`] and lint tests). Freed slots
 //!   go on the free-list and are reused LIFO by later additions.
 
-use crate::netlist::{Gate, NetId, Netlist, Port};
+use crate::netlist::{clone_ports_from, Gate, NetId, Netlist, Port, CONST1};
 
 /// Sentinel for "no driving gate recorded" in the driver table.
 const NO_DRIVER: u32 = u32::MAX;
@@ -49,6 +49,14 @@ pub struct NetlistDelta {
 }
 
 impl NetlistDelta {
+    /// Empties the delta, keeping its buffers for the next edit.
+    pub fn clear(&mut self) {
+        self.removed.clear();
+        self.added.clear();
+        self.touched_nets.clear();
+        self.ports_changed = false;
+    }
+
     /// Total number of gate slots involved in the edit.
     pub fn size(&self) -> usize {
         self.removed.len() + self.added.len()
@@ -75,6 +83,16 @@ pub struct ArenaNetlist {
     driver: Vec<u32>,
     /// Per-net gate sinks as `(slot, input pin)` pairs.
     fanout: Vec<Vec<(u32, u8)>>,
+    /// Whether nets follow slot order: every live gate reads only nets
+    /// below its outputs, and its outputs lie above those of every
+    /// earlier slot (as a builder emits them). Then the nets from the
+    /// first output of any slot on are connected to that slot and later
+    /// ones only, every fanout list ascends by slot, and no edge runs
+    /// backward. Cleared for good by general surgery
+    /// (`replace_gates`, `rewire_input`) or a gate that breaks it.
+    nets_ordered: bool,
+    /// Highest output net of the last slot, while `nets_ordered`.
+    top_net: u32,
     /// Per-net number of output-port reads.
     po_reads: Vec<u16>,
     /// Per-net flag: driven by a primary input port.
@@ -91,10 +109,9 @@ pub struct ArenaNetlist {
     /// skip cycle search. Maintained exactly by every connect,
     /// disconnect, and driver retarget.
     order_violations: usize,
-    /// Scratch bitmap for touched-net dedup in `splice_suffix`, kept
-    /// across calls (always all-false between edits) so the hot path
-    /// never re-allocates it.
-    touched_mark: Vec<bool>,
+    /// Nets touched by the `splice_suffix` in progress; empty between
+    /// edits, and kept so the hot path never re-allocates it.
+    touched: NetSet,
 }
 
 impl ArenaNetlist {
@@ -112,12 +129,14 @@ impl ArenaNetlist {
             drivers: vec![0; nets],
             driver: vec![NO_DRIVER; nets],
             fanout: vec![Vec::new(); nets],
+            nets_ordered: true,
+            top_net: 0,
             po_reads: vec![0; nets],
             pi: vec![false; nets],
             level: Vec::with_capacity(n.gates().len()),
             live: 0,
             order_violations: 0,
-            touched_mark: Vec::new(),
+            touched: NetSet::default(),
         };
         for p in n.inputs() {
             for &b in &p.bits {
@@ -132,13 +151,7 @@ impl ArenaNetlist {
             }
         }
         for g in n.gates() {
-            let slot = a.slots.len() as u32;
-            a.slots.push(*g);
-            a.alive.push(true);
-            a.level.push(0);
-            a.live += 1;
-            a.connect(slot);
-            a.level[slot as usize] = a.compute_level(slot);
+            a.append(*g, &mut |_| {});
         }
         a
     }
@@ -264,10 +277,11 @@ impl ArenaNetlist {
     ///
     /// Panics if a slot in `remove` is not live.
     pub fn replace_gates(&mut self, remove: &[u32], add: &[Gate]) -> NetlistDelta {
+        self.nets_ordered = false;
         let mut delta = NetlistDelta::default();
         for &slot in remove {
             assert!(self.gate(slot).is_some(), "replace_gates: slot {slot} is not live");
-            self.disconnect(slot, &mut delta.touched_nets);
+            self.disconnect(slot, &mut |n| delta.touched_nets.push(n));
             self.alive[slot as usize] = false;
             self.free.push(slot);
             self.live -= 1;
@@ -312,7 +326,8 @@ impl ArenaNetlist {
         let mut ng = g;
         ng.ins[pin as usize] = net;
         let mut delta = NetlistDelta::default();
-        self.disconnect(slot, &mut delta.touched_nets);
+        self.nets_ordered = false;
+        self.disconnect(slot, &mut |n| delta.touched_nets.push(n));
         self.slots[slot as usize] = ng;
         self.connect(slot);
         touch_gate_nets(&ng, &mut delta.touched_nets);
@@ -354,44 +369,47 @@ impl ArenaNetlist {
     /// gate index `shared_prefix` onward (and the output ports and net
     /// count) with the corresponding suffix of `n`, which must agree
     /// with the arena's compaction on the first `shared_prefix` gates
-    /// and on the input ports.
+    /// and on the input ports. The edit is written into `delta`
+    /// (cleared first), whose buffers are reused.
     ///
     /// Preserves the invariant that live slots in ascending order are
     /// exactly `n.gates()` (callers that only ever splice keep the
     /// arena compaction-identical to the netlist). Freed suffix slots
     /// beyond the new length are dropped, not free-listed, to keep
-    /// that ordering.
-    pub fn splice_suffix(&mut self, n: &Netlist, shared_prefix: usize) -> NetlistDelta {
+    /// that ordering. The work is proportional to the two suffixes
+    /// and the output ports, not to the netlist.
+    pub fn splice_suffix(&mut self, n: &Netlist, shared_prefix: usize, delta: &mut NetlistDelta) {
         debug_assert!(self.free.is_empty(), "splice_suffix requires a compact arena");
         debug_assert_eq!(self.inputs, n.inputs(), "input ports must not change");
-        let mut delta = NetlistDelta::default();
+        delta.clear();
 
-        // Disconnect and drop the old suffix, highest slot first so
-        // net-table truncation below sees no stale entries.
-        for slot in (shared_prefix..self.slots.len()).rev() {
-            if self.alive[slot] {
-                self.disconnect(slot as u32, &mut delta.touched_nets);
-                self.live -= 1;
-                delta.removed.push(slot as u32);
+        let old_nets = self.num_nets as usize;
+        let nets = n.num_nets() as usize;
+        // Only nets of the new net space are reported.
+        let mut touched = std::mem::take(&mut self.touched);
+        touched.reserve(nets);
+        let mut touch = |n: NetId| {
+            if (n.0 as usize) < nets {
+                touched.insert(n);
             }
+        };
+
+        // Disconnect and drop the old suffix.
+        if self.nets_ordered {
+            self.drop_ordered_suffix(shared_prefix, &mut touch, &mut delta.removed);
+        } else {
+            for slot in (shared_prefix..self.slots.len()).rev() {
+                if self.alive[slot] {
+                    self.disconnect(slot as u32, &mut touch);
+                    self.live -= 1;
+                    delta.removed.push(slot as u32);
+                }
+            }
+            delta.removed.reverse();
         }
         self.slots.truncate(shared_prefix);
         self.alive.truncate(shared_prefix);
         self.level.truncate(shared_prefix);
-        delta.removed.reverse();
-
-        // Output ports: touched if any bit net changed.
-        if self.outputs != n.outputs() {
-            delta.ports_changed = true;
-            for p in self.outputs.iter().chain(n.outputs().iter()) {
-                for &b in &p.bits {
-                    if !b.is_const() {
-                        delta.touched_nets.push(b);
-                    }
-                }
-            }
-            self.outputs = n.outputs().to_vec();
-        }
 
         // Net tables only ever grow. When the net space shrinks, the
         // suffix disconnect above already reset the tail entries (the
@@ -399,7 +417,6 @@ impl ArenaNetlist {
         // them in place is safe and lets every fanout buffer keep its
         // capacity for the next splice instead of churning the
         // allocator twice per step.
-        let nets = n.num_nets() as usize;
         self.num_nets = n.num_nets();
         if self.drivers.len() < nets {
             self.drivers.resize(nets, 0);
@@ -408,46 +425,34 @@ impl ArenaNetlist {
             self.po_reads.resize(nets, 0);
             self.pi.resize(nets, false);
         }
-        self.recount_po_reads();
+
+        // Output ports: touched, and their reads recounted, only if a
+        // bit net changed.
+        if self.outputs != n.outputs() {
+            delta.ports_changed = true;
+            for &b in self.outputs.iter().flat_map(|p| &p.bits).filter(|b| !b.is_const()) {
+                touch(b);
+                if (b.0 as usize) < old_nets {
+                    self.po_reads[b.0 as usize] = self.po_reads[b.0 as usize].saturating_sub(1);
+                }
+            }
+            for &b in n.outputs().iter().flat_map(|p| &p.bits).filter(|b| !b.is_const()) {
+                touch(b);
+                if (b.0 as usize) < nets {
+                    self.po_reads[b.0 as usize] = self.po_reads[b.0 as usize].saturating_add(1);
+                }
+            }
+            clone_ports_from(&mut self.outputs, n.outputs());
+        }
 
         // Append and connect the new suffix (already in topological
         // order, so levels compute exactly in one forward pass).
         for g in &n.gates()[shared_prefix..] {
-            let slot = self.slots.len() as u32;
-            self.slots.push(*g);
-            self.alive.push(true);
-            self.level.push(0);
-            self.live += 1;
-            self.connect(slot);
-            self.level[slot as usize] = self.compute_level(slot);
-            touch_gate_nets(g, &mut delta.touched_nets);
-            delta.added.push(slot);
+            delta.added.push(self.append(*g, &mut touch));
         }
-        // Sort + dedup the touched-net log via one bitmap pass: the
-        // raw log holds an entry per suffix pin (several times the net
-        // count), so marking and one ascending scan beats sorting it.
-        let nets = self.num_nets as usize;
-        if self.touched_mark.len() < nets {
-            self.touched_mark.resize(nets, false);
-        }
-        let mut lo = nets;
-        for &t in &delta.touched_nets {
-            let i = t.0 as usize;
-            if i < nets {
-                self.touched_mark[i] = true;
-                lo = lo.min(i);
-            }
-        }
-        let mut deduped = Vec::with_capacity(nets - lo);
-        for i in lo..nets {
-            if self.touched_mark[i] {
-                self.touched_mark[i] = false;
-                deduped.push(NetId(i as u32));
-            }
-        }
-        delta.touched_nets = deduped;
+        touched.drain_into(&mut delta.touched_nets);
+        self.touched = touched;
         debug_assert_eq!(self.order_violations, self.recount_order_violations());
-        delta
     }
 
     /// Compacts the arena into an immutable [`Netlist`]: live slots in
@@ -537,6 +542,58 @@ impl ArenaNetlist {
             self.order_violations.checked_add_signed(delta).expect("edge accounting imbalance");
     }
 
+    /// Connects `g` in a new last slot and computes its level (exact
+    /// when every driver of `g` sits in an earlier slot), passing each
+    /// non-constant net of `g` to `touch`. One pass over the pins does
+    /// what `connect` followed by `compute_level` does.
+    fn append(&mut self, g: Gate, touch: &mut impl FnMut(NetId)) -> u32 {
+        let slot = self.slots.len() as u32;
+        let outs = g.outputs();
+        // The gate keeps nets ordered if its outputs ascend above every
+        // earlier slot's and it reads only nets below them.
+        self.nets_ordered = self.nets_ordered
+            && outs[0].0 > self.top_net.max(CONST1.0)
+            && outs.windows(2).all(|w| w[0] < w[1])
+            && g.inputs().iter().all(|i| *i < outs[0]);
+        self.top_net = outs[outs.len() - 1].0;
+        self.slots.push(g);
+        self.alive.push(true);
+        self.live += 1;
+        let nets = self.num_nets as usize;
+        let mut level = 0;
+        for (pin, &i) in g.inputs().iter().enumerate() {
+            if i.is_const() {
+                continue;
+            }
+            touch(i);
+            if (i.0 as usize) >= nets {
+                continue;
+            }
+            let d = self.driver[i.0 as usize];
+            if d != NO_DRIVER {
+                self.order_violations += self.edge_violation(d, slot);
+                // A net this gate also drives counts at level 0, as it
+                // does once the gate is its recorded driver.
+                if !outs.contains(&i) {
+                    level = level.max(self.level[d as usize]);
+                }
+            }
+            self.fanout[i.0 as usize].push((slot, pin as u8));
+        }
+        self.level.push(if g.kind.is_sequential() { 0 } else { level + 1 });
+        for &o in outs {
+            if o.is_const() {
+                continue;
+            }
+            touch(o);
+            if (o.0 as usize) < nets {
+                self.drivers[o.0 as usize] = self.drivers[o.0 as usize].saturating_add(1);
+                self.retarget_driver(o, slot);
+            }
+        }
+        slot
+    }
+
     /// Registers a live slot's pins in the net tables. Out-of-range
     /// nets (possible in deliberately corrupted test netlists) are
     /// skipped — lint flags them from the gate itself.
@@ -561,7 +618,7 @@ impl ArenaNetlist {
 
     /// Removes a live slot's pins from the net tables, recording the
     /// affected nets.
-    fn disconnect(&mut self, slot: u32, touched: &mut Vec<NetId>) {
+    fn disconnect(&mut self, slot: u32, touch: &mut impl FnMut(NetId)) {
         let g = self.slots[slot as usize];
         for &i in g.inputs() {
             if !i.is_const() && (i.0 as usize) < self.num_nets as usize {
@@ -573,7 +630,7 @@ impl ArenaNetlist {
                     self.order_violations -= removed * self.edge_violation(d, slot);
                 }
                 self.fanout[i.0 as usize].retain(|&(s, _)| s != slot);
-                touched.push(i);
+                touch(i);
             }
         }
         for &o in g.outputs() {
@@ -584,9 +641,49 @@ impl ArenaNetlist {
                     // its slot is rediscovered from any live writer.
                     self.retarget_driver(o, NO_DRIVER);
                 }
-                touched.push(o);
+                touch(o);
             }
         }
+    }
+
+    /// Disconnects every slot from `cut` on in a `nets_ordered` arena,
+    /// recording the touched nets and the removed slots. The nets from
+    /// the first output of slot `cut` on belong to the suffix alone, so
+    /// their entries are reset in one sweep; an earlier net read by the
+    /// suffix loses the tail of its (ascending) fanout list. No removed
+    /// edge runs backward, so the order-violation count stays zero.
+    fn drop_ordered_suffix(
+        &mut self,
+        cut: usize,
+        touch: &mut impl FnMut(NetId),
+        removed: &mut Vec<u32>,
+    ) {
+        let Some(first) = self.slots.get(cut) else { return };
+        let owned = first.outputs()[0].0 as usize;
+        let nets = self.num_nets as usize;
+        for slot in cut..self.slots.len() {
+            let g = self.slots[slot];
+            for &i in g.inputs().iter().filter(|i| !i.is_const() && (i.0 as usize) < nets) {
+                touch(i);
+                if (i.0 as usize) < owned {
+                    let list = &mut self.fanout[i.0 as usize];
+                    list.truncate(list.partition_point(|&(s, _)| (s as usize) < cut));
+                }
+            }
+            for &o in g.outputs().iter().filter(|o| (o.0 as usize) < nets) {
+                touch(o);
+            }
+            removed.push(slot as u32);
+        }
+        self.live -= self.slots.len() - cut;
+        for net in owned.min(nets)..nets {
+            self.drivers[net] = 0;
+            self.driver[net] = NO_DRIVER;
+            self.fanout[net].clear();
+        }
+        self.top_net = cut
+            .checked_sub(1)
+            .map_or(0, |s| self.slots[s].outputs().iter().max().expect("a gate drives a net").0);
     }
 
     /// O(edges) recount of `order_violations`, for debug validation
@@ -686,6 +783,39 @@ fn touch_gate_nets(g: &Gate, touched: &mut Vec<NetId>) {
     }
 }
 
+/// A set of nets below a bound as a bitmap, drained in ascending
+/// order; empty between edits.
+#[derive(Debug, Clone, Default)]
+struct NetSet {
+    words: Vec<u64>,
+}
+
+impl NetSet {
+    /// Makes room for nets below `bound`.
+    fn reserve(&mut self, bound: usize) {
+        let words = bound.div_ceil(64);
+        if self.words.len() < words {
+            self.words.resize(words, 0);
+        }
+    }
+
+    fn insert(&mut self, n: NetId) {
+        self.words[n.0 as usize / 64] |= 1 << (n.0 % 64);
+    }
+
+    /// Appends the members to `out` in ascending order and empties
+    /// the set.
+    fn drain_into(&mut self, out: &mut Vec<NetId>) {
+        for (w, word) in self.words.iter_mut().enumerate() {
+            let mut bits = std::mem::take(word);
+            while bits != 0 {
+                out.push(NetId((w * 64 + bits.trailing_zeros() as usize) as u32));
+                bits &= bits - 1;
+            }
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -755,24 +885,66 @@ mod tests {
         assert_eq!(a.fanout_of(to).iter().filter(|&&(s, _)| s == slot).count(), 2);
     }
 
-    #[test]
-    fn splice_suffix_tracks_netlist() {
-        let n = small();
-        let mut a = ArenaNetlist::from_netlist(&n);
-        // Rebuild a variant that shares the two-gate prefix but ends
-        // with a different final gate.
+    /// [`small`] with a different suffix after the two-gate prefix:
+    /// one more gate, more nets and a wider output port.
+    fn variant() -> Netlist {
         let mut b = NetlistBuilder::new("t");
         let ai = b.input("a", 2);
         let ci = b.input("b", 2);
         let x = b.and2(ai[0], ci[0]);
         let y = b.xor2(ai[1], ci[1]);
         let z = b.nand2(x, y);
-        b.output("o", &[z]);
-        let n2 = b.finish();
-        let d = a.splice_suffix(&n2, 2);
+        let w = b.xor2(z, ai[0]);
+        b.output("o", &[w, z]);
+        b.finish()
+    }
+
+    #[test]
+    fn splice_suffix_tracks_netlist() {
+        let n = small();
+        let mut a = ArenaNetlist::from_netlist(&n);
+        let n2 = variant();
+        let mut d = NetlistDelta::default();
+        a.splice_suffix(&n2, 2, &mut d);
         assert!(a.matches_netlist(&n2));
-        assert_eq!(d.removed.len(), 1);
-        assert_eq!(d.added.len(), 1);
+        assert_eq!(d.removed, vec![2]);
+        assert_eq!(d.added, vec![2, 3]);
+        assert!(d.ports_changed);
+        let (x, y) = (n.gates()[0].outs[0], n.gates()[1].outs[0]);
         assert!(d.touched_nets.contains(&x) && d.touched_nets.contains(&y));
+    }
+
+    #[test]
+    fn ordered_and_general_splices_agree() {
+        let (n, n2) = (small(), variant());
+        let mut ordered = ArenaNetlist::from_netlist(&n);
+        // A rewire and its undo restore the gates, but the arena no
+        // longer vouches for its net order.
+        let mut general = ArenaNetlist::from_netlist(&n);
+        let g = *general.gate(0).unwrap();
+        general.rewire_input(0, 0, g.ins[1]);
+        general.rewire_input(0, 0, g.ins[0]);
+        assert!(general.matches_netlist(&n) && !general.nets_ordered);
+        let (mut d1, mut d2) = (NetlistDelta::default(), NetlistDelta::default());
+        ordered.splice_suffix(&n2, 2, &mut d1);
+        general.splice_suffix(&n2, 2, &mut d2);
+        assert_eq!((&d1.removed, &d1.added, d1.ports_changed), (&d2.removed, &d2.added, true));
+        assert_eq!(d1.touched_nets, d2.touched_nets);
+        let fresh = ArenaNetlist::from_netlist(&n2);
+        for a in [&ordered, &general] {
+            assert!(a.matches_netlist(&n2) && a.is_topo_ordered());
+            for net in (0..n2.num_nets()).map(NetId) {
+                let mut sinks = a.fanout_of(net).to_vec();
+                sinks.sort_unstable();
+                assert_eq!(sinks, fresh.fanout_of(net), "sinks of {net:?}");
+                assert_eq!(a.driver_of(net), fresh.driver_of(net));
+                assert_eq!(a.driver_count(net), fresh.driver_count(net));
+                assert_eq!(a.po_reads(net), fresh.po_reads(net));
+            }
+            let levels = |a: &ArenaNetlist| -> Vec<u32> {
+                a.iter_live().map(|(s, _)| a.level_of(s)).collect()
+            };
+            assert_eq!(levels(a), levels(&fresh));
+        }
     }
 }

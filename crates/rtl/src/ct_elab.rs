@@ -12,7 +12,7 @@
 use crate::netlist::{NetId, NetlistBuilder, CONST0};
 use crate::ppg::PpColumns;
 use crate::RtlError;
-use rlmul_ct::CompressorTree;
+use rlmul_ct::{assign_column, CompressorTree};
 use std::collections::VecDeque;
 
 /// The two rows a compressor tree hands to the final adder.
@@ -27,10 +27,11 @@ pub struct CtRows {
 
 /// Elaborator state carried from column to column.
 ///
-/// A snapshot of this struct (plus a [`crate::BuilderCheckpoint`])
+/// A snapshot of the carries (plus a [`crate::BuilderCheckpoint`])
 /// taken at the top of column `j` is everything needed to re-run
 /// elaboration from column `j` onward — the basis of the incremental
-/// splice in [`crate::IncrementalMultiplier`].
+/// splice in [`crate::IncrementalMultiplier`], which keeps one state
+/// across calls so the work lists below keep their allocations.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct CtState {
     /// Carries arriving at the next column, indexed by stage.
@@ -39,6 +40,41 @@ pub(crate) struct CtState {
     pub row0: Vec<NetId>,
     /// Residual row 1 ([`CONST0`] where a column left a single row).
     pub row1: Vec<NetId>,
+    scratch: CtScratch,
+}
+
+/// Per-column work lists of [`elaborate_ct_span`].
+#[derive(Debug, Clone, Default)]
+struct CtScratch {
+    /// The carries arriving at the column being elaborated.
+    arrivals: Vec<Vec<NetId>>,
+    /// Emptied carry lists, reused before new ones are allocated.
+    spare: Vec<Vec<NetId>>,
+    avail: VecDeque<NetId>,
+    sums_next: Vec<NetId>,
+    /// Carry count per stage of the column being elaborated.
+    arrival_counts: Vec<u32>,
+    /// `(3:2, 2:2)` compressors fired per stage of that column.
+    schedule: Vec<(u32, u32)>,
+}
+
+impl CtState {
+    /// Rewinds the state to the top of column `start`, whose pending
+    /// carries are `carry`.
+    pub fn resume(&mut self, start: usize, carry: &[Vec<NetId>]) {
+        let spare = &mut self.scratch.spare;
+        spare.extend(self.carry_arrivals.drain(..).map(|mut v| {
+            v.clear();
+            v
+        }));
+        self.carry_arrivals.extend(carry.iter().map(|c| {
+            let mut v = spare.pop().unwrap_or_default();
+            v.extend_from_slice(c);
+            v
+        }));
+        self.row0.truncate(start);
+        self.row1.truncate(start);
+    }
 }
 
 /// Elaborates `tree` over the partial-product columns `cols`,
@@ -79,22 +115,36 @@ pub(crate) fn elaborate_ct_span(
     start: usize,
     mut checkpoint: impl FnMut(usize, &NetlistBuilder, &Vec<Vec<NetId>>),
 ) -> Result<(), RtlError> {
-    let tensor = tree.assign_stages()?;
     let ncols = tree.matrix().num_columns();
     debug_assert_eq!(cols.len(), ncols);
-    let residuals = tree.matrix().residuals(tree.profile());
+    let profile = tree.profile();
 
-    let CtState { carry_arrivals, row0, row1 } = state;
+    let CtState { carry_arrivals, row0, row1, scratch } = state;
+    let CtScratch { arrivals, spare, avail, sums_next, arrival_counts, schedule } = scratch;
     debug_assert_eq!(row0.len(), start);
     debug_assert_eq!(row1.len(), start);
 
-    // Per-column work lists, reused from column to column.
-    let mut avail: VecDeque<NetId> = VecDeque::new();
-    let mut sums_next: Vec<NetId> = Vec::new();
     for (j, initial) in cols.iter().enumerate().skip(start) {
         checkpoint(j, b, carry_arrivals);
-        let arrivals = std::mem::take(carry_arrivals);
-        let depth = tensor.column_stages(j).len().max(arrivals.len());
+        // This column consumes the pending carries; the emptied lists
+        // of the previous column collect the carries into the next.
+        spare.extend(arrivals.drain(..).map(|mut v| {
+            v.clear();
+            v
+        }));
+        std::mem::swap(arrivals, carry_arrivals);
+        // Stage assignment (paper Algorithm 1) of this column alone:
+        // it reads only the carry counts from the column below.
+        arrival_counts.clear();
+        arrival_counts.extend(arrivals.iter().map(|c| c.len() as u32));
+        assign_column(
+            j,
+            profile.columns()[j],
+            tree.matrix().counts()[j],
+            arrival_counts,
+            schedule,
+        )?;
+        let depth = schedule.len().max(arrivals.len());
         avail.clear();
         avail.extend(initial.iter().copied());
         sums_next.clear();
@@ -105,7 +155,7 @@ pub(crate) fn elaborate_ct_span(
             if let Some(batch) = arrivals.get(stage) {
                 avail.extend(batch.iter().copied());
             }
-            let (n32, n22) = tensor.counts_at(j, stage);
+            let (n32, n22) = schedule.get(stage).copied().unwrap_or((0, 0));
             for _ in 0..n32 {
                 let (x, y, z) = (
                     avail.pop_front().expect("assignment guarantees 3 rows"),
@@ -114,7 +164,7 @@ pub(crate) fn elaborate_ct_span(
                 );
                 let (sum, carry) = b.full_adder(x, y, z);
                 sums_next.push(sum);
-                push_carry(carry_arrivals, stage + 1, carry, j + 1 < ncols);
+                push_carry(carry_arrivals, spare, stage + 1, carry, j + 1 < ncols);
             }
             for _ in 0..n22 {
                 let (x, y) = (
@@ -123,27 +173,34 @@ pub(crate) fn elaborate_ct_span(
                 );
                 let (sum, carry) = b.half_adder(x, y);
                 sums_next.push(sum);
-                push_carry(carry_arrivals, stage + 1, carry, j + 1 < ncols);
+                push_carry(carry_arrivals, spare, stage + 1, carry, j + 1 < ncols);
             }
         }
         // Residual rows: whatever is still queued plus the last sums.
         let got = avail.len() + sums_next.len();
-        if got != residuals[j].max(0) as usize {
-            return Err(RtlError::ResidualMismatch { column: j, expected: residuals[j], got });
+        let expected = tree.matrix().residual(profile, j);
+        if got != expected.max(0) as usize {
+            return Err(RtlError::ResidualMismatch { column: j, expected, got });
         }
-        let mut residual = avail.iter().chain(&sums_next).copied();
+        let mut residual = avail.iter().chain(sums_next.iter()).copied();
         row0.push(residual.next().unwrap_or(CONST0));
         row1.push(residual.next().unwrap_or(CONST0));
     }
     Ok(())
 }
 
-fn push_carry(carry_arrivals: &mut Vec<Vec<NetId>>, stage: usize, carry: NetId, in_range: bool) {
+fn push_carry(
+    carry_arrivals: &mut Vec<Vec<NetId>>,
+    spare: &mut Vec<Vec<NetId>>,
+    stage: usize,
+    carry: NetId,
+    in_range: bool,
+) {
     if !in_range {
         return; // carry past the MSB: discarded (mod 2^{2N})
     }
-    if carry_arrivals.len() <= stage {
-        carry_arrivals.resize(stage + 1, Vec::new());
+    while carry_arrivals.len() <= stage {
+        carry_arrivals.push(spare.pop().unwrap_or_default());
     }
     carry_arrivals[stage].push(carry);
 }

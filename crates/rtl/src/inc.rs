@@ -11,14 +11,18 @@
 //! would produce. Bit-identical downstream synthesis numbers follow
 //! for free from that equality.
 //!
-//! Each retarget also maintains an [`ArenaNetlist`] mirror via
-//! [`ArenaNetlist::splice_suffix`] and exposes the resulting
-//! [`NetlistDelta`], which incremental lint/map/size/STA consume.
+//! The swept netlist is updated in place: only the replayed gates are
+//! swept, and their live ones overwrite the old suffix from the swept
+//! position each checkpoint records. Each retarget also maintains an
+//! [`ArenaNetlist`] mirror via [`ArenaNetlist::splice_suffix`] and
+//! exposes the resulting [`NetlistDelta`], which incremental
+//! lint/map/size/STA consume. Work and allocations per retarget are
+//! proportional to the replayed suffix.
 
 use crate::adder::{add, AdderKind};
 use crate::arena::{ArenaNetlist, NetlistDelta};
 use crate::ct_elab::{elaborate_ct_span, CtState};
-use crate::netlist::{BuilderCheckpoint, NetId, Netlist, NetlistBuilder};
+use crate::netlist::{BuilderCheckpoint, NetId, Netlist, NetlistBuilder, SuffixSweep};
 use crate::ppg::{and_ppg, mbe_ppg, merge_mac_addend};
 use crate::RtlError;
 use rlmul_ct::{CompressorTree, PpgKind};
@@ -27,6 +31,8 @@ use rlmul_ct::{CompressorTree, PpgKind};
 #[derive(Debug, Clone)]
 struct ColumnCheckpoint {
     builder: BuilderCheckpoint,
+    /// Number of swept-netlist gates emitted before this column.
+    swept: usize,
     /// Carries pending into this column, indexed by stage.
     carry: Vec<Vec<NetId>>,
 }
@@ -57,9 +63,11 @@ pub struct IncrementalMultiplier {
     /// depends only on the operands, never on the tree).
     cols: Vec<Vec<NetId>>,
     checkpoints: Vec<ColumnCheckpoint>,
-    row0: Vec<NetId>,
-    row1: Vec<NetId>,
+    /// Elaborator state after the last column (residual rows, work
+    /// lists reused by every replay).
+    state: CtState,
     netlist: Netlist,
+    sweep: SuffixSweep,
     arena: ArenaNetlist,
     last_delta: NetlistDelta,
 }
@@ -101,11 +109,19 @@ impl IncrementalMultiplier {
         let mut state = CtState::default();
         elaborate_ct_span(&mut builder, tree, &cols, &mut state, 0, |j, b, carry| {
             debug_assert_eq!(j, checkpoints.len());
-            checkpoints.push(ColumnCheckpoint { builder: b.checkpoint(), carry: carry.clone() });
+            checkpoints.push(ColumnCheckpoint {
+                builder: b.checkpoint(),
+                swept: 0,
+                carry: carry.clone(),
+            });
         })?;
         let p = add(&mut builder, &state.row0, &state.row1, cpa);
         builder.output("p", &p);
-        let netlist = builder.snapshot().sweep();
+        let mut sweep = SuffixSweep::default();
+        let netlist = builder.swept(&mut sweep);
+        for ck in &mut checkpoints {
+            ck.swept = sweep.swept_before(&ck.builder);
+        }
         let arena = ArenaNetlist::from_netlist(&netlist);
         Ok(IncrementalMultiplier {
             tree: tree.clone(),
@@ -113,9 +129,9 @@ impl IncrementalMultiplier {
             builder,
             cols,
             checkpoints,
-            row0: state.row0,
-            row1: state.row1,
+            state,
             netlist,
+            sweep,
             arena,
             last_delta: NetlistDelta::default(),
         })
@@ -123,9 +139,9 @@ impl IncrementalMultiplier {
 
     /// Re-elaborates toward `tree`, replaying only the columns from
     /// the first changed one upward, and splices the arena mirror.
-    /// Returns the delta of the *swept* netlist (shared gate prefix
-    /// detected by direct comparison, so no liveness reasoning is
-    /// baked in).
+    /// Returns the delta of the *swept* netlist; its shared gate
+    /// prefix is the longest one the old and new netlists have in
+    /// common, found by direct comparison of the swept suffixes.
     ///
     /// The result is guaranteed equal to
     /// `MultiplierNetlist::elaborate_with_adder(tree, cpa)` — debug
@@ -148,30 +164,24 @@ impl IncrementalMultiplier {
         let Some(j_min) = old.iter().zip(new).position(|(a, b)| a != b) else {
             // Same per-column counts ⇒ identical deterministic
             // elaboration; nothing to do.
-            self.tree = tree.clone();
-            self.last_delta = NetlistDelta::default();
+            self.tree.clone_from(tree);
+            self.last_delta.clear();
             return Ok(&self.last_delta);
         };
 
         let obs = rlmul_obs::global();
         // Rewind to the top of column j_min and replay the rest.
-        let ck = self.checkpoints[j_min].clone();
-        self.builder.rewind(&ck.builder);
-        self.row0.truncate(j_min);
-        self.row1.truncate(j_min);
-        let mut state = CtState {
-            carry_arrivals: ck.carry,
-            row0: std::mem::take(&mut self.row0),
-            row1: std::mem::take(&mut self.row1),
-        };
         {
             let _s = obs.span("rtl.retarget_replay");
+            let ck = &self.checkpoints[j_min];
+            self.builder.rewind(&ck.builder);
+            self.state.resume(j_min, &ck.carry);
             let checkpoints = &mut self.checkpoints;
             elaborate_ct_span(
                 &mut self.builder,
                 tree,
                 &self.cols,
-                &mut state,
+                &mut self.state,
                 j_min,
                 |j, b, carry| {
                     // Every column keeps its checkpoint slot; refilling
@@ -181,23 +191,40 @@ impl IncrementalMultiplier {
                     ck.carry.clone_from(carry);
                 },
             )?;
-            let p = add(&mut self.builder, &state.row0, &state.row1, self.cpa);
+            let p = add(&mut self.builder, &self.state.row0, &self.state.row1, self.cpa);
             self.builder.output("p", &p);
         }
-        self.row0 = state.row0;
-        self.row1 = state.row1;
-
-        let next = {
+        // Sweep only the replayed gates into the kept netlist; when the
+        // replay changes which earlier nets stay read, sweep it all.
+        let shared = {
             let _s = obs.span("rtl.retarget_sweep");
-            self.builder.snapshot().sweep()
+            let ck = &self.checkpoints[j_min];
+            let resumed = self.builder.sweep_suffix_into(
+                Some(&ck.builder),
+                ck.swept,
+                &mut self.netlist,
+                &mut self.sweep,
+            );
+            let (first, shared) = match resumed {
+                Some(shared) => (j_min, shared),
+                None => {
+                    let shared = self
+                        .builder
+                        .sweep_suffix_into(None, 0, &mut self.netlist, &mut self.sweep)
+                        .expect("a sweep from the first gate always succeeds");
+                    (0, shared)
+                }
+            };
+            for ck in &mut self.checkpoints[first..] {
+                ck.swept = self.sweep.swept_before(&ck.builder);
+            }
+            shared
         };
         {
             let _s = obs.span("rtl.retarget_splice");
-            let shared = shared_gate_prefix(&self.netlist, &next);
-            self.last_delta = self.arena.splice_suffix(&next, shared);
+            self.arena.splice_suffix(&self.netlist, shared, &mut self.last_delta);
         }
-        self.netlist = next;
-        self.tree = tree.clone();
+        self.tree.clone_from(tree);
 
         #[cfg(debug_assertions)]
         {
@@ -229,11 +256,6 @@ impl IncrementalMultiplier {
     pub fn last_delta(&self) -> &NetlistDelta {
         &self.last_delta
     }
-}
-
-/// Length of the longest common gate prefix of two netlists.
-fn shared_gate_prefix(a: &Netlist, b: &Netlist) -> usize {
-    a.gates().iter().zip(b.gates()).take_while(|(x, y)| x == y).count()
 }
 
 #[cfg(test)]

@@ -48,8 +48,8 @@ pub use inc::IncrementalMultiplier;
 pub use lint::{lint, lint_delta, LintIssue, LintReport, LintRule, LintStats, Severity};
 pub use mul::MultiplierNetlist;
 pub use netlist::{
-    BuilderCheckpoint, DffHandle, Gate, GateKind, GateStats, NetId, Netlist, NetlistBuilder, Port,
-    CONST0, CONST1,
+    shared_gate_prefix, BuilderCheckpoint, DffHandle, Gate, GateKind, GateStats, NetId, Netlist,
+    NetlistBuilder, Port, CONST0, CONST1,
 };
 pub use pe_array::{pe_array, PeArrayConfig, PeStyle};
 pub use pipeline::{elaborate_pipelined, PipelineCuts};

@@ -121,12 +121,24 @@ impl Gate {
 }
 
 /// A named multi-bit port (LSB first).
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, PartialEq, Eq)]
 pub struct Port {
     /// Port name (a valid Verilog identifier).
     pub name: String,
     /// Net of each bit, least-significant first.
     pub bits: Vec<NetId>,
+}
+
+impl Clone for Port {
+    fn clone(&self) -> Self {
+        Port { name: self.name.clone(), bits: self.bits.clone() }
+    }
+
+    /// Reuses `self`'s buffers.
+    fn clone_from(&mut self, source: &Self) {
+        self.name.clone_from(&source.name);
+        self.bits.clone_from(&source.bits);
+    }
 }
 
 /// Aggregate gate-count statistics of a netlist.
@@ -172,13 +184,50 @@ pub(crate) fn kind_name(kind: GateKind) -> &'static str {
 }
 
 /// A flattened gate-level netlist.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, PartialEq, Eq)]
 pub struct Netlist {
     name: String,
     num_nets: u32,
     inputs: Vec<Port>,
     outputs: Vec<Port>,
     gates: Vec<Gate>,
+}
+
+impl Clone for Netlist {
+    fn clone(&self) -> Self {
+        Netlist {
+            name: self.name.clone(),
+            num_nets: self.num_nets,
+            inputs: self.inputs.clone(),
+            outputs: self.outputs.clone(),
+            gates: self.gates.clone(),
+        }
+    }
+
+    /// Reuses `self`'s buffers: copying a netlist over a same-shaped
+    /// one allocates nothing.
+    fn clone_from(&mut self, source: &Self) {
+        self.name.clone_from(&source.name);
+        self.num_nets = source.num_nets;
+        self.inputs.clone_from(&source.inputs);
+        self.outputs.clone_from(&source.outputs);
+        self.gates.clone_from(&source.gates);
+    }
+}
+
+/// Copies `src` over `dst`, reusing `dst`'s port buffers.
+pub(crate) fn clone_ports_from(dst: &mut Vec<Port>, src: &[Port]) {
+    dst.truncate(src.len());
+    for (d, s) in dst.iter_mut().zip(src) {
+        d.clone_from(s);
+    }
+    dst.extend(src[dst.len()..].iter().cloned());
+}
+
+/// Length of the longest common prefix of two gate sequences — the
+/// part of a re-elaborated netlist that incremental consumers keep.
+pub fn shared_gate_prefix(a: &[Gate], b: &[Gate]) -> usize {
+    a.iter().zip(b).take_while(|(x, y)| x == y).count()
 }
 
 impl Netlist {
@@ -679,20 +728,158 @@ impl NetlistBuilder {
         self.num_nets = ck.num_nets;
     }
 
-    /// Clones the current builder state into a finished [`Netlist`]
-    /// without consuming the builder — the incremental elaborator
-    /// snapshots after every splice while keeping the builder alive
-    /// for the next one.
-    pub fn snapshot(&self) -> Netlist {
-        let n = Netlist {
+    /// The swept image of the current builder state (as
+    /// `finish().sweep()` would give, without consuming the builder),
+    /// ready for later [`NetlistBuilder::sweep_suffix_into`] calls.
+    pub(crate) fn swept(&self, scratch: &mut SuffixSweep) -> Netlist {
+        let mut out = Netlist {
             name: self.name.clone(),
-            num_nets: self.num_nets,
+            num_nets: 2,
             inputs: self.inputs.clone(),
-            outputs: self.outputs.clone(),
-            gates: self.gates.clone(),
+            outputs: Vec::new(),
+            gates: Vec::new(),
         };
-        debug_assert_eq!(n.validate(), Ok(()));
-        n
+        self.sweep_suffix_into(None, 0, &mut out, scratch)
+            .expect("a sweep from the first gate always succeeds");
+        out
+    }
+
+    /// Brings `out` — the swept image of this builder before it was
+    /// rewound to `from` and replayed — up to date, in time
+    /// proportional to the replayed gates. `swept` is the number of
+    /// gates of `out` that come from builder gates before `from`;
+    /// `None` sweeps from the first gate.
+    ///
+    /// Whether a gate before `from` is live depends on the later gates
+    /// only through the set of earlier nets that live later gates and
+    /// the output ports read. When the replay leaves that set as it
+    /// was, the first `swept` gates of `out` stay and only the swept
+    /// suffix is replaced; the result is the length of the gate prefix
+    /// shared by the old and the new `out`. Otherwise `out` is left
+    /// untouched and the result is `None`: the caller sweeps from the
+    /// first gate instead, which always succeeds.
+    ///
+    /// Gates only read earlier nets (`drive_dff` aside, which the
+    /// multiplier elaborators never use), so no gate before `from`
+    /// reads a replayed net.
+    pub(crate) fn sweep_suffix_into(
+        &self,
+        from: Option<&BuilderCheckpoint>,
+        swept: usize,
+        out: &mut Netlist,
+        scratch: &mut SuffixSweep,
+    ) -> Option<usize> {
+        let (first, prefix_nets) = from.map_or((0, 0), |ck| (ck.num_gates, ck.num_nets));
+        let suffix = &self.gates[first..];
+        let nets = self.num_nets as usize;
+        if scratch.marks.len() < nets {
+            scratch.marks.resize(nets, 0);
+        }
+        scratch.first = first;
+        scratch.swept = swept;
+        // Liveness of the replayed gates, seeded by the output ports;
+        // one reverse pass suffices since gates only read earlier nets.
+        for p in &self.outputs {
+            p.bits.iter().for_each(|&b| scratch.mark(b, prefix_nets, READ_NEW));
+        }
+        for g in suffix.iter().rev() {
+            if scratch.is_live(g) {
+                g.inputs().iter().for_each(|&i| scratch.mark(i, prefix_nets, READ_NEW));
+            }
+        }
+        // What the old swept suffix and ports read before `from`.
+        for g in &out.gates[swept..] {
+            for &i in g.inputs().iter().filter(|i| i.0 < prefix_nets) {
+                scratch.mark(i, prefix_nets, READ_OLD);
+            }
+        }
+        for p in &out.outputs {
+            for &b in p.bits.iter().filter(|b| b.0 < prefix_nets) {
+                scratch.mark(b, prefix_nets, READ_OLD);
+            }
+        }
+        let resumable =
+            scratch.prefix_reads.iter().all(|n| scratch.marks[n.0 as usize] == READ_NEW | READ_OLD);
+
+        // Write the swept suffix over the old one, noting where the two
+        // first differ.
+        let mut len = swept;
+        let mut shared = None;
+        scratch.kept.clear();
+        scratch.kept.push(0);
+        if resumable {
+            for g in suffix {
+                if scratch.is_live(g) {
+                    if shared.is_none() && out.gates.get(len) != Some(g) {
+                        shared = Some(len);
+                    }
+                    if len < out.gates.len() {
+                        out.gates[len] = *g;
+                    } else {
+                        out.gates.push(*g);
+                    }
+                    len += 1;
+                }
+                scratch.kept.push((len - swept) as u32);
+            }
+        }
+        for n in scratch.prefix_reads.drain(..) {
+            scratch.marks[n.0 as usize] = 0;
+        }
+        scratch.marks[prefix_nets as usize..nets].fill(0);
+        if !resumable {
+            return None;
+        }
+
+        let shared = shared.unwrap_or(len);
+        out.gates.truncate(len);
+        clone_ports_from(&mut out.outputs, &self.outputs);
+        out.num_nets = self.num_nets;
+        Some(shared)
+    }
+}
+
+/// Per-net read marks of [`NetlistBuilder::sweep_suffix_into`]: read by
+/// a live replayed gate or a current output port, and read by the old
+/// swept suffix or an old output port.
+const READ_NEW: u8 = 1;
+const READ_OLD: u8 = 2;
+
+/// Buffers of [`NetlistBuilder::sweep_suffix_into`], kept across calls
+/// so a sweep allocates nothing in the steady state.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct SuffixSweep {
+    /// Per-net read marks; all zero between calls.
+    marks: Vec<u8>,
+    /// Marked nets from before the resume point, each listed once.
+    prefix_reads: Vec<NetId>,
+    /// `kept[k]`: live gates among builder gates `first..first + k`.
+    kept: Vec<u32>,
+    first: usize,
+    swept: usize,
+}
+
+impl SuffixSweep {
+    fn mark(&mut self, net: NetId, prefix_nets: u32, bit: u8) {
+        if net.is_const() {
+            return;
+        }
+        let m = &mut self.marks[net.0 as usize];
+        if *m == 0 && net.0 < prefix_nets {
+            self.prefix_reads.push(net);
+        }
+        *m |= bit;
+    }
+
+    fn is_live(&self, g: &Gate) -> bool {
+        g.kind.is_sequential()
+            || g.outputs().iter().any(|o| self.marks[o.0 as usize] & READ_NEW != 0)
+    }
+
+    /// Position in the swept image of the builder gate at `ck`, for a
+    /// checkpoint at or after the last successful sweep's resume point.
+    pub(crate) fn swept_before(&self, ck: &BuilderCheckpoint) -> usize {
+        self.swept + self.kept[ck.num_gates - self.first] as usize
     }
 }
 
@@ -813,5 +1000,57 @@ mod tests {
         assert_eq!(n.stats().count("OR2"), 1);
         assert_eq!(n.stats().count("FA"), 1);
         assert_eq!(n.stats().total(), 3);
+    }
+
+    /// Prefix `x = a0 & a1`, then a suffix whose output reads `x` or
+    /// not — so a replay can revive or kill a prefix gate.
+    fn emit_suffix(b: &mut NetlistBuilder, x: NetId, a: &[NetId], reads_x: bool) {
+        let y = if reads_x { b.xor2(x, a[2]) } else { b.xor2(a[1], a[2]) };
+        let z = b.or2(y, a[0]);
+        b.output("y", &[y, z]);
+    }
+
+    fn reference(reads_x: bool) -> Netlist {
+        let mut b = NetlistBuilder::new("t");
+        let a = b.input("a", 3);
+        let x = b.and2(a[0], a[1]);
+        emit_suffix(&mut b, x, &a, reads_x);
+        b.finish().sweep()
+    }
+
+    #[test]
+    fn suffix_sweep_matches_full_sweep_and_falls_back_on_liveness_changes() {
+        let mut b = NetlistBuilder::new("t");
+        let a = b.input("a", 3);
+        let x = b.and2(a[0], a[1]);
+        let ck = b.checkpoint();
+        emit_suffix(&mut b, x, &a, true);
+        let mut scratch = SuffixSweep::default();
+        let mut out = b.swept(&mut scratch);
+        assert_eq!(out, reference(true));
+
+        // (reads x before, reads x after, prefix liveness unchanged)
+        for (before, after, resumes) in
+            [(true, true, true), (true, false, false), (false, false, true), (false, true, false)]
+        {
+            let swept = scratch.swept_before(&ck);
+            assert_eq!(swept, usize::from(before));
+            b.rewind(&ck);
+            emit_suffix(&mut b, x, &a, after);
+            let old = out.clone();
+            let shared = match b.sweep_suffix_into(Some(&ck), swept, &mut out, &mut scratch) {
+                Some(shared) => {
+                    assert!(resumes, "{before} -> {after}: prefix liveness changed");
+                    shared
+                }
+                None => {
+                    assert!(!resumes, "{before} -> {after}: prefix liveness kept");
+                    assert_eq!(out, old, "a refused sweep leaves the netlist alone");
+                    b.sweep_suffix_into(None, 0, &mut out, &mut scratch).unwrap()
+                }
+            };
+            assert_eq!(out, reference(after), "{before} -> {after}");
+            assert_eq!(shared, shared_gate_prefix(old.gates(), out.gates()));
+        }
     }
 }

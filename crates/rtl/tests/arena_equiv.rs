@@ -10,7 +10,10 @@
 
 use proptest::prelude::*;
 use rlmul_ct::{CompressorTree, PpgKind};
-use rlmul_rtl::{lint, lint_delta, IncrementalMultiplier, MultiplierNetlist, Netlist};
+use rlmul_rtl::{
+    lint, lint_delta, ArenaNetlist, IncrementalMultiplier, MultiplierNetlist, NetId, Netlist,
+    NetlistDelta,
+};
 use std::collections::BTreeMap;
 
 /// Per-kind gate census — the coarse structural fingerprint compared
@@ -138,5 +141,117 @@ fn wide_walks_match_scratch_rebuilds() {
             picks.push((seed >> 33) as usize);
         }
         walk_and_check(&tree, &picks).unwrap();
+    }
+}
+
+/// One net as a naive scan sees it: driving output pins,
+/// `(gate index, pin)` sinks and output-port reads (constants have
+/// none, as in the arena).
+#[derive(Debug, Clone, Default, PartialEq)]
+struct NetScan {
+    drivers: usize,
+    sinks: Vec<(usize, usize)>,
+    po_reads: usize,
+}
+
+fn connectivity(n: &Netlist) -> Vec<NetScan> {
+    let mut nets = vec![NetScan::default(); n.num_nets() as usize];
+    for (gi, g) in n.gates().iter().enumerate() {
+        for &o in g.outputs() {
+            nets[o.0 as usize].drivers += 1;
+        }
+        for (pin, &i) in g.inputs().iter().enumerate() {
+            if !i.is_const() {
+                nets[i.0 as usize].sinks.push((gi, pin));
+            }
+        }
+    }
+    for b in n.outputs().iter().flat_map(|p| &p.bits).filter(|b| !b.is_const()) {
+        nets[b.0 as usize].po_reads += 1;
+    }
+    nets
+}
+
+/// Simulated-annealing traffic: every proposal comes from the last
+/// accepted tree and about half are kept, so the elaborator keeps
+/// retargeting between siblings and back to trees several calls old.
+/// After every call the netlist must equal a fresh build, the arena
+/// must mirror it (tables included), its delta must equal the general
+/// splice path's, and the delta's `touched_nets` — what `lint_delta`
+/// re-checks — must cover every net whose drivers, sinks or
+/// output-port reads changed.
+#[test]
+#[cfg_attr(debug_assertions, ignore = "release-only: 16-bit accept/reject walk")]
+fn accept_reject_walks_match_scratch_rebuilds() {
+    for (kind, mut seed) in [(PpgKind::And, 0x5eed_0001u64), (PpgKind::Mbe, 0x5eed_0002)] {
+        let mut rand = move || {
+            seed = seed.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+            (seed >> 33) as usize
+        };
+        let mut accepted = CompressorTree::wallace(16, kind).unwrap();
+        let mut inc = IncrementalMultiplier::new(&accepted).unwrap();
+        // A mirror on the general splice path (a rewire and its undo
+        // leave the gates alone but drop the net-order fast path); its
+        // deltas must equal the elaborator's.
+        let mut general = ArenaNetlist::from_netlist(inc.netlist());
+        let g = *general.gate(0).unwrap();
+        general.rewire_input(0, 0, g.ins[1]);
+        general.rewire_input(0, 0, g.ins[0]);
+        let mut general_delta = NetlistDelta::default();
+        for step in 0..60 {
+            let target = if step % 7 == 6 {
+                // A rejection's usual follow-up: back to the last
+                // accepted tree.
+                accepted.clone()
+            } else {
+                let actions = accepted.valid_actions();
+                accepted.apply_action(actions[rand() % actions.len()]).unwrap()
+            };
+            let before = inc.netlist().clone();
+            inc.retarget(&target).unwrap();
+            let fresh = MultiplierNetlist::elaborate(&target).unwrap().into_netlist();
+            assert!(*inc.netlist() == fresh, "{kind} step {step}: diverged from a scratch build");
+            assert!(inc.arena().matches_netlist(&fresh), "{kind} step {step}: arena out of sync");
+
+            // The arena's tables against the scan (slots are gate
+            // indices in a splice-only arena).
+            let (old, new) = (connectivity(&before), connectivity(&fresh));
+            let arena = inc.arena();
+            for (net, scan) in new.iter().enumerate() {
+                let id = NetId(net as u32);
+                let sinks: Vec<(usize, usize)> =
+                    arena.fanout_of(id).iter().map(|&(s, p)| (s as usize, p as usize)).collect();
+                assert_eq!(arena.driver_count(id), scan.drivers, "{kind} step {step}: net {net}");
+                assert_eq!(sinks, scan.sinks, "{kind} step {step}: sinks of net {net}");
+                assert_eq!(arena.po_reads(id), scan.po_reads, "{kind} step {step}: net {net}");
+            }
+
+            let delta = inc.last_delta();
+            let shared = delta.added.first().or(delta.removed.first());
+            let shared = shared.map_or(before.gates().len(), |&s| s as usize);
+            general.splice_suffix(inc.netlist(), shared, &mut general_delta);
+            assert_eq!(general_delta.removed, delta.removed, "{kind} step {step}");
+            assert_eq!(general_delta.added, delta.added, "{kind} step {step}");
+            assert_eq!(general_delta.touched_nets, delta.touched_nets, "{kind} step {step}");
+            assert_eq!(general_delta.ports_changed, delta.ports_changed, "{kind} step {step}");
+
+            let touched = &delta.touched_nets;
+            assert!(touched.windows(2).all(|w| w[0] < w[1]), "touched nets sorted and unique");
+            assert!(touched.iter().all(|n| !n.is_const()), "constants are never touched");
+            for (net, now) in new.iter().enumerate() {
+                let was = old.get(net).cloned().unwrap_or_default();
+                if *now != was {
+                    assert!(
+                        touched.binary_search(&NetId(net as u32)).is_ok(),
+                        "{kind} step {step}: net {net} changed ({was:?} -> {now:?}) untouched"
+                    );
+                }
+            }
+            let lint = lint_delta(inc.arena(), inc.last_delta());
+            assert_eq!(lint.errors(), 0, "{kind} step {step}: {}", lint.render());
+            if rand() % 2 == 0 {
+                accepted = target;
+            }
+        }
     }
 }

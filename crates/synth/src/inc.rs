@@ -33,7 +33,7 @@ use crate::size::{size_to_targets_seeded, TargetStop};
 use crate::sta::{worst_endpoint, IncrementalSta, StaStats};
 use crate::synth::{SynthesisOptions, SynthesisReport, Synthesizer};
 use crate::SynthError;
-use rlmul_rtl::{GateKind, NetId, Netlist};
+use rlmul_rtl::{shared_gate_prefix, GateKind, NetId, Netlist};
 
 /// The shared per-step state of one netlist, carried to the next call.
 #[derive(Debug, Clone)]
@@ -110,11 +110,6 @@ pub struct IncrementalSynthesis {
     synthesizer: Synthesizer,
     prev: Option<PrevState>,
     last_mode: Option<SynthMode>,
-}
-
-/// Longest shared gate prefix of two netlists.
-fn shared_gate_prefix(a: &Netlist, b: &Netlist) -> usize {
-    a.gates().iter().zip(b.gates()).take_while(|(x, y)| x == y).count()
 }
 
 impl IncrementalSynthesis {
@@ -318,9 +313,9 @@ impl IncrementalSynthesis {
             }
         };
 
-        let k = shared_gate_prefix(&prev.netlist, netlist);
+        let k = shared_gate_prefix(prev.netlist.gates(), netlist.gates());
         let PrevState {
-            netlist: _,
+            netlist: mut prev_netlist,
             mut conn,
             baseline,
             mut dffs,
@@ -359,8 +354,9 @@ impl IncrementalSynthesis {
         let mut sta = IncrementalSta::from_baseline(baseline);
         sta.patch_baseline(&mapped, &seeds, k);
         let (cell_of, loads) = mapped.into_parts();
+        prev_netlist.clone_from(netlist);
         let state = PrevState {
-            netlist: netlist.clone(),
+            netlist: prev_netlist,
             conn,
             baseline: sta.into_arrivals(),
             dffs,
