@@ -1,15 +1,18 @@
-//! Netlist-pipeline benchmark: full-rebuild vs incremental
+//! Netlist-pipeline benchmark: from-scratch vs incremental
 //! elaborate→lint→map→size→STA step latency over identical action
 //! walks at 8/16/32/64 bits, with per-step allocation counts (from a
 //! counting global allocator) and the obs span-profiler breakdown.
-//! Asserts the two paths produce bit-identical PPA at every step and
-//! writes `results/BENCH_netlist.json`.
+//! Both paths run the same one-thread sizing trajectory, so the ratio
+//! measures only the work the incremental path skips. Asserts the two
+//! paths produce bit-identical PPA at every step and writes
+//! `results/BENCH_netlist.json`.
 //!
-//! Run in release: debug builds re-run the full pipeline inside the
-//! incremental path as an oracle, which is the very cost being
-//! measured. `--ci-gate` runs the 16-bit comparison only and exits
-//! non-zero if the incremental path drops below 3x the full rebuild
-//! or makes more than [`MAX_INC_ALLOCS_16`] allocations per step.
+//! Run in release: debug builds re-run the from-scratch synthesis
+//! inside the incremental path as an oracle, which is the very cost
+//! being measured. `--ci-gate` runs the 16-bit comparison only and
+//! exits non-zero if the incremental step is less than
+//! [`MIN_SPEEDUP_16`] times as fast as the from-scratch one or makes
+//! more than [`MAX_INC_ALLOCS_16`] allocations per step.
 
 use rlmul_bench::report::results_dir;
 use rlmul_ct::{CompressorTree, PpgKind};
@@ -183,10 +186,13 @@ fn assert_bit_identical(full: &ModeCost, inc: &ModeCost, bits: usize) {
     }
 }
 
-/// Gate bound on allocations per 16-bit incremental step. Unlike the
-/// speedup, the count does not depend on how many cores the full
-/// path's threads get, so the bound can sit close to the measured
-/// count (94 when it was set).
+/// Gate bound on the 16-bit median step speedup over the from-scratch
+/// path (1.40–1.70x measured on first attempts when it was set).
+const MIN_SPEEDUP_16: f64 = 1.25;
+
+/// Gate bound on allocations per 16-bit incremental step. The count
+/// does not swing with machine load as the speedup does, so the bound
+/// can sit close to the measured count (94 when it was set).
 const MAX_INC_ALLOCS_16: f64 = 104.0;
 
 /// Median per-step wall times of the two paths at one width, in ms,
@@ -205,7 +211,7 @@ impl StepTimes {
 
     /// Whether both gate bounds hold.
     fn passes(self) -> bool {
-        self.speedup() >= 3.0 && self.inc_allocs <= MAX_INC_ALLOCS_16
+        self.speedup() >= MIN_SPEEDUP_16 && self.inc_allocs <= MAX_INC_ALLOCS_16
     }
 }
 
@@ -305,8 +311,8 @@ fn main() {
         let Some(t) = times_16.filter(|t| !t.passes()) else { break };
         if attempt + 1 < attempts {
             eprintln!(
-                "16-bit speedup {t} outside the gate (>= 3x, <= {MAX_INC_ALLOCS_16} \
-                 allocs/step); retrying (attempt {}/{attempts})",
+                "16-bit speedup {t} outside the gate (>= {MIN_SPEEDUP_16}x, \
+                 <= {MAX_INC_ALLOCS_16} allocs/step); retrying (attempt {}/{attempts})",
                 attempt + 2
             );
         }
@@ -327,14 +333,18 @@ fn main() {
     println!("wrote {} and {}", path.display(), flame_path.display());
 
     if let Some(t) = times_16.filter(|_| ci_gate && !cfg!(debug_assertions)) {
-        assert!(t.speedup() >= 3.0, "incremental pipeline regressed below 3x at 16 bits: {t}");
+        assert!(
+            t.speedup() >= MIN_SPEEDUP_16,
+            "incremental pipeline regressed below {MIN_SPEEDUP_16}x at 16 bits: {t}"
+        );
         assert!(
             t.inc_allocs <= MAX_INC_ALLOCS_16,
             "incremental pipeline allocates more than {MAX_INC_ALLOCS_16} times per 16-bit \
              step: {t}"
         );
         println!(
-            "ci-gate OK: 16-bit incremental speedup {t} >= 3x, <= {MAX_INC_ALLOCS_16} allocs/step"
+            "ci-gate OK: 16-bit incremental speedup {t} >= {MIN_SPEEDUP_16}x, \
+             <= {MAX_INC_ALLOCS_16} allocs/step"
         );
     }
 }

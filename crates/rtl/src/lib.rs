@@ -4,10 +4,11 @@
 //! EasyMAC-based RTL generator: it elaborates a
 //! [`rlmul_ct::CompressorTree`] into a flattened gate-level netlist —
 //! partial-product generator (AND array or radix-4 Modified Booth
-//! Encoding), stage-scheduled compressor tree, and a Kogge–Stone
-//! carry-propagate adder — and can compose the result into merged
-//! MACs and systolic processing-element arrays. A structural
-//! Verilog-2001 emitter is provided for interoperability.
+//! Encoding), stage-scheduled compressor tree, and a parallel-prefix
+//! carry-propagate adder (Brent–Kung by default; see [`AdderKind`]) —
+//! and can compose the result into merged MACs and systolic
+//! processing-element arrays. A structural Verilog-2001 emitter is
+//! provided for interoperability.
 //!
 //! # Example
 //!

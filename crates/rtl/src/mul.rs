@@ -36,7 +36,7 @@ pub struct MultiplierNetlist {
 }
 
 impl MultiplierNetlist {
-    /// Elaborates `tree` into gates with the default Kogge–Stone
+    /// Elaborates `tree` into gates with the default Brent–Kung
     /// final adder.
     ///
     /// # Errors

@@ -16,6 +16,11 @@ pub enum SynthError {
         /// Requested sample count.
         points: usize,
     },
+    /// A delay target is NaN or infinite.
+    NonFiniteTarget {
+        /// The offending target, ns.
+        target_ns: f64,
+    },
 }
 
 impl fmt::Display for SynthError {
@@ -24,6 +29,9 @@ impl fmt::Display for SynthError {
             SynthError::EmptyNetlist => write!(f, "netlist has no gates to synthesize"),
             SynthError::InvalidSweep { from_ns, to_ns, points } => {
                 write!(f, "invalid sweep: {from_ns} ns .. {to_ns} ns with {points} points")
+            }
+            SynthError::NonFiniteTarget { target_ns } => {
+                write!(f, "delay target {target_ns} ns is not a finite number")
             }
         }
     }

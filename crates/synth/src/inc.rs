@@ -2,11 +2,13 @@
 //! time proportional to the edit, with results bit-identical to a
 //! from-scratch [`Synthesizer`] run.
 //!
-//! The session caches, between calls, everything a full run would
-//! rebuild from zero even though most of it did not change:
+//! The session keeps, between calls, the per-netlist tables a
+//! from-scratch run would rebuild from zero even though most of them
+//! did not change, and patches them over the edit's gate suffix:
 //!
-//! * the previous netlist and the allocations of its [`NetConn`]
-//!   connectivity tables, which every call rebuilds in place;
+//! * the previous netlist and the allocations of its
+//!   [`NetConn`](crate::NetConn) connectivity tables, which every call
+//!   rebuilds in place;
 //! * the all-X1 cell binding every mapping starts from — rebound only
 //!   over the suffix gates — and the net loads under it;
 //! * the all-X1 baseline arrival times — rebased through the edit's
@@ -17,76 +19,27 @@
 //!   re-propagated, and all delay targets share them;
 //! * the (ascending) flip-flop gate list for endpoint scans.
 //!
-//! Delay targets with a common move budget then share one sizing
-//! trajectory ([`size_to_targets_seeded`]), which mirrors
-//! [`size_to_target`](crate::size_to_target) decision for decision.
-//! Because every floating-point operation that feeds a decision is
-//! evaluated on identical operands in identical order, the reported
-//! PPA numbers equal the full run's bit for bit — only the
-//! [`StaStats`] work counters differ (that equality is asserted as a
-//! debug-build oracle against a real full run).
+//! The reports then come from the same code as a stateless run: one
+//! shared sizing trajectory per move budget. So the PPA numbers equal
+//! a from-scratch run's bit for bit — only the
+//! [`StaStats`](crate::StaStats) work counters differ, since no full
+//! timing pass is charged (debug builds assert the equality against a
+//! stateless run of every call).
 
 use crate::library::{Drive, Library};
-use crate::map::{net_loads, x1_cell_of, MappedNetlist, NetConn};
-use crate::power::{propagate_probabilities, report_sums, signal_probabilities};
-use crate::size::{size_to_targets_seeded, TargetStop};
-use crate::sta::{worst_endpoint, IncrementalSta, StaStats};
-use crate::synth::{SynthesisOptions, SynthesisReport, Synthesizer};
+use crate::map::{net_loads, MappedNetlist};
+use crate::power::propagate_probabilities;
+use crate::sta::{extend_dffs, IncrementalSta};
+use crate::synth::{check, synthesize, SynthesisOptions, SynthesisReport, Synthesizer, Tables};
 use crate::SynthError;
-use rlmul_rtl::{shared_gate_prefix, GateKind, NetId, Netlist};
+use rlmul_rtl::{shared_gate_prefix, NetId, Netlist};
 
-/// The shared per-step state of one netlist, carried to the next call.
+/// The previous call's netlist and the tables built for it, carried to
+/// the next call.
 #[derive(Debug, Clone)]
 struct PrevState {
     netlist: Netlist,
-    conn: NetConn,
-    /// All-X1 arrival times (the sizing loops' shared starting point).
-    baseline: Vec<f64>,
-    /// Dff gate indices in ascending (= netlist) order.
-    dffs: Vec<u32>,
-    /// All-X1 cell binding — each target's mapping starts as a memcpy
-    /// of this instead of per-gate library lookups.
-    cell_of: Vec<usize>,
-    /// Net loads under `cell_of`, copied into each mapping alongside it.
-    loads: Vec<f64>,
-    /// Signal probability of every net, for power estimates.
-    probs: Vec<f64>,
-}
-
-impl PrevState {
-    /// A fresh all-X1 mapping of the state's netlist over the shared
-    /// tables.
-    fn mapping<'a>(&'a self, library: &'a Library) -> MappedNetlist<'a> {
-        MappedNetlist::map_with_parts(
-            &self.netlist,
-            library,
-            &self.conn,
-            self.cell_of.clone(),
-            self.loads.clone(),
-        )
-    }
-
-    /// The report of `o` for mapping `m` stopped at `stop`.
-    fn report(
-        &self,
-        m: &MappedNetlist<'_>,
-        o: &SynthesisOptions,
-        stop: &TargetStop,
-    ) -> SynthesisReport {
-        let delay = stop.worst_delay_ns.max(1e-6);
-        let (power, area_um2, drive_histogram) = report_sums(m, &self.probs, 1.0 / delay);
-        SynthesisReport {
-            area_um2,
-            delay_ns: stop.worst_delay_ns,
-            power_mw: power.total_mw(),
-            target_delay_ns: o.target_delay_ns,
-            met_target: stop.met_target,
-            drive_histogram,
-            sizing_moves: stop.moves,
-            num_cells: m.netlist().gates().len(),
-            sta: stop.sta,
-        }
-    }
+    tables: Tables,
 }
 
 /// How the shared per-step state was obtained.
@@ -102,9 +55,9 @@ pub enum SynthMode {
 /// netlists — the RL loop's one-action-per-step edits.
 ///
 /// [`IncrementalSynthesis::run_many`] accepts the same inputs as
-/// [`Synthesizer::run_many`] and returns bit-identical reports
-/// (modulo [`StaStats`]); it is simply faster when the netlist shares
-/// a long gate prefix with the previous call's.
+/// [`Synthesizer::run_many`] and returns bit-identical reports (modulo
+/// [`StaStats`](crate::StaStats)); it is simply faster when the
+/// netlist shares a long gate prefix with the previous call's.
 #[derive(Debug, Clone)]
 pub struct IncrementalSynthesis {
     synthesizer: Synthesizer,
@@ -164,97 +117,37 @@ impl IncrementalSynthesis {
     /// Runs one synthesis per option set against `netlist`, reusing as
     /// much of the previous call's work as the gate-prefix overlap
     /// allows. Reports are in option order and bit-identical (modulo
-    /// [`StaStats`]) to [`Synthesizer::run_many`].
+    /// [`StaStats`](crate::StaStats)) to [`Synthesizer::run_many`].
     ///
     /// # Errors
     ///
-    /// Returns [`SynthError::EmptyNetlist`] for gate-free netlists.
+    /// As [`Synthesizer::run_many`]; a rejected call leaves the cached
+    /// state as it was.
     pub fn run_many(
         &mut self,
         netlist: &Netlist,
         options: &[SynthesisOptions],
     ) -> Result<Vec<SynthesisReport>, SynthError> {
-        if netlist.gates().is_empty() {
-            return Err(SynthError::EmptyNetlist);
-        }
+        check(netlist, options)?;
         let obs = rlmul_obs::global();
         let _span = obs.span("synth.inc_run");
         // check: allow(wall-clock) duration feeds the obs histogram only
         let started = std::time::Instant::now();
 
         let (state, mode) = self.prepare_state(netlist);
-        let library = self.synthesizer.library();
+        let reports = synthesize(netlist, &state.tables, self.library(), options);
 
-        let mut slots: Vec<Option<SynthesisReport>> = vec![None; options.len()];
-        // Min-area options report straight off the shared baseline.
-        for (i, o) in options.iter().enumerate() {
-            if o.target_delay_ns.is_none() {
-                let _r = obs.span("synth.inc_report");
-                let mapped = state.mapping(library);
-                let (worst, _) = worst_endpoint(&mapped, &state.baseline, Some(&state.dffs));
-                let stop = TargetStop {
-                    worst_delay_ns: worst,
-                    moves: 0,
-                    met_target: true,
-                    sta: StaStats::default(),
-                };
-                slots[i] = Some(state.report(&mapped, o, &stop));
-            }
-        }
-
-        // Delay-targeted options with a common move budget share one
-        // sizing trajectory: batch selection never reads the target,
-        // so each option's independent run is a prefix of the
-        // tightest's, and its report is emitted at its stop point. The
-        // reports (power plus report fields) get their own child span,
-        // so this span's exclusive time is the trajectory alone.
-        let _s = obs.span("synth.inc_sizing");
-        for first in 0..options.len() {
-            if options[first].target_delay_ns.is_none() || slots[first].is_some() {
-                continue;
-            }
-            let budget = options[first].max_upsizes;
-            let group: Vec<usize> = (first..options.len())
-                .filter(|&i| options[i].target_delay_ns.is_some())
-                .filter(|&i| options[i].max_upsizes == budget)
-                .collect();
-            let targets: Vec<f64> =
-                group.iter().map(|&i| options[i].target_delay_ns.expect("targeted")).collect();
-            let mut mapped = state.mapping(library);
-            size_to_targets_seeded(
-                &mut mapped,
-                &targets,
-                budget,
-                state.baseline.clone(),
-                &state.dffs,
-                |m, ti, stop| {
-                    let _r = obs.span("synth.inc_report");
-                    slots[group[ti]] = Some(state.report(m, &options[group[ti]], stop));
-                },
-            );
-        }
-        let reports: Vec<SynthesisReport> =
-            slots.into_iter().map(|s| s.expect("every option produced a report")).collect();
-
-        // Debug oracle: the incremental session must report the same
-        // PPA as a from-scratch run, bit for bit (work counters aside).
+        // Debug oracle: the patched tables must give the same PPA as a
+        // from-scratch run, bit for bit (work counters aside).
         #[cfg(debug_assertions)]
-        for (r, o) in reports.iter().zip(options) {
-            let full = self.synthesizer.run(netlist, o).expect("full-run oracle failed");
-            debug_assert!(
-                r.area_um2 == full.area_um2
-                    && r.delay_ns == full.delay_ns
-                    && r.power_mw == full.power_mw
-                    && r.met_target == full.met_target
-                    && r.drive_histogram == full.drive_histogram
-                    && r.sizing_moves == full.sizing_moves
-                    && r.num_cells == full.num_cells,
-                "incremental synthesis diverged from full run at target {:?}: \
-                 {:?} vs {:?}",
-                o.target_delay_ns,
-                (r.area_um2, r.delay_ns, r.power_mw),
-                (full.area_um2, full.delay_ns, full.power_mw),
-            );
+        {
+            let full = self.synthesizer.run_many(netlist, options).expect("from-scratch oracle");
+            for (r, f) in reports.iter().zip(&full) {
+                debug_assert!(
+                    SynthesisReport { sta: f.sta, ..r.clone() } == *f,
+                    "incremental synthesis diverged from a from-scratch run: {r:?} vs {f:?}"
+                );
+            }
         }
 
         if obs.is_enabled() {
@@ -282,8 +175,8 @@ impl IncrementalSynthesis {
         Ok(reports)
     }
 
-    /// Produces the shared per-step state for `netlist` — patched from
-    /// the previous call when the netlists overlap, rebuilt otherwise.
+    /// Produces the tables for `netlist` — patched from the previous
+    /// call's when the netlists overlap, built from scratch otherwise.
     fn prepare_state(&mut self, netlist: &Netlist) -> (PrevState, SynthMode) {
         let _s = rlmul_obs::global().span("synth.inc_prepare");
         let taken = self.prev.take();
@@ -294,34 +187,15 @@ impl IncrementalSynthesis {
             // from-scratch build.
             Some(p) if p.netlist.inputs() == netlist.inputs() => p,
             _ => {
-                let conn = NetConn::build(netlist);
-                let cell_of = x1_cell_of(netlist, library);
-                let mut loads = Vec::new();
-                net_loads(netlist, library, &conn, &cell_of, &mut loads);
-                let mut state = PrevState {
-                    netlist: netlist.clone(),
-                    conn,
-                    baseline: Vec::new(),
-                    dffs: Vec::new(),
-                    cell_of,
-                    loads,
-                    probs: signal_probabilities(netlist),
-                };
-                extend_dffs(netlist, 0, &mut state.dffs);
-                state.baseline = crate::sta::analyze(&state.mapping(library)).arrivals;
-                return (state, SynthMode::Full);
+                let tables = Tables::build(netlist, library);
+                return (PrevState { netlist: netlist.clone(), tables }, SynthMode::Full);
             }
         };
 
         let k = shared_gate_prefix(prev.netlist.gates(), netlist.gates());
         let PrevState {
             netlist: mut prev_netlist,
-            mut conn,
-            baseline,
-            mut dffs,
-            mut cell_of,
-            mut loads,
-            mut probs,
+            tables: Tables { mut conn, baseline, mut dffs, mut cell_of, mut loads, mut probs },
         } = prev;
 
         conn.rebuild(netlist);
@@ -355,36 +229,20 @@ impl IncrementalSynthesis {
         sta.patch_baseline(&mapped, &seeds, k);
         let (cell_of, loads) = mapped.into_parts();
         prev_netlist.clone_from(netlist);
-        let state = PrevState {
-            netlist: prev_netlist,
-            conn,
-            baseline: sta.into_arrivals(),
-            dffs,
-            cell_of,
-            loads,
-            probs,
-        };
-        (state, SynthMode::Patched)
-    }
-}
-
-/// Appends the Dff gates of `netlist.gates()[from..]` to `dffs`, in
-/// ascending order.
-fn extend_dffs(netlist: &Netlist, from: usize, dffs: &mut Vec<u32>) {
-    for (gi, g) in netlist.gates().iter().enumerate().skip(from) {
-        if g.kind == GateKind::Dff {
-            dffs.push(gi as u32);
-        }
+        let tables = Tables { conn, baseline: sta.into_arrivals(), dffs, cell_of, loads, probs };
+        (PrevState { netlist: prev_netlist, tables }, SynthMode::Patched)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::StaStats;
     use proptest::prelude::*;
     use rlmul_ct::{CompressorTree, PpgKind};
     use rlmul_rtl::{
-        elaborate_pipelined, AdderKind, IncrementalMultiplier, MultiplierNetlist, PipelineCuts,
+        elaborate_pipelined, AdderKind, GateKind, IncrementalMultiplier, MultiplierNetlist,
+        PipelineCuts,
     };
 
     const TARGETS: [f64; 4] = [0.7, 0.85, 1.0, 1.15];
@@ -472,7 +330,7 @@ mod tests {
             }
         }
         let library = session.library();
-        let conn = &state.conn;
+        let conn = &state.tables.conn;
         prop_assert_eq!(conn.num_nets(), nets);
         for n in 0..nets {
             let net = NetId(n as u32);
@@ -490,7 +348,7 @@ mod tests {
             let fanout = sinks[n].len() as f64 + po;
             let load =
                 pin_caps + fanout * library.wire_cap_per_fanout_ff + po * library.output_load_ff;
-            prop_assert_eq!(state.loads[n].to_bits(), load.to_bits(), "load of net {}", n);
+            prop_assert_eq!(state.tables.loads[n].to_bits(), load.to_bits(), "load of net {}", n);
         }
         Ok(())
     }

@@ -6,10 +6,14 @@
 //! NanGate45-flavoured [`Library`], static timing analysis with a
 //! load-dependent linear delay model ([`analyze`]), TILOS-style
 //! greedy gate sizing under a target delay ([`size_to_target`]), and
-//! switching-activity power estimation ([`estimate_power`]). The
-//! [`Synthesizer`] driver ties these together and supports the
+//! switching-activity power estimation ([`estimate_power`]).
+//!
+//! One engine produces every report: delay targets with a common move
+//! budget share one sizing trajectory, each reported where its own run
+//! would stop. The stateless [`Synthesizer`] serves the
 //! multi-constraint runs and target-delay sweeps the paper's
-//! Pareto-driven reward consumes.
+//! Pareto-driven reward consumes; [`IncrementalSynthesis`] gives the
+//! same report bits faster for a stream of closely related netlists.
 //!
 //! # Example
 //!

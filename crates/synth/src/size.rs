@@ -36,32 +36,29 @@ const PRIMARY_INPUT_DRIVE_RES_KOHM: f64 = 5.5;
 
 /// Sizes `m` toward `target_ns`; `max_moves` bounds the loop.
 ///
-/// One full timing pass seeds the loop; every sizing batch after that
-/// is re-timed incrementally through the fanout cone of the resized
-/// gates only (bit-identical to a full pass; see [`IncrementalSta`]).
+/// One full timing pass of `m` as it stands seeds the shared sizing
+/// trajectory with a single stop, which re-times every batch
+/// incrementally through the fanout cone of the resized gates only
+/// (bit-identical to a full pass; see [`IncrementalSta`]).
+/// A NaN target stops at once, unmet.
 pub fn size_to_target(
     m: &mut MappedNetlist<'_>,
     target_ns: f64,
     max_moves: usize,
 ) -> SizingOutcome {
-    let mut sta = IncrementalSta::new();
-    let mut timing = sta.analyze_full(m);
-    let mut moves = 0;
-    let mut batch = Batch::default();
-    while timing.worst_delay_ns > target_ns && moves < max_moves {
-        let limit = MOVES_PER_PASS.min(max_moves - moves);
-        if !batch.apply(m, &timing.critical_path, &timing.arrivals, limit) {
-            break;
-        }
-        moves += batch.resized.len();
-        timing = sta.update(m, &batch.resized);
-    }
-    let met_target = timing.worst_delay_ns <= target_ns;
-    SizingOutcome { timing, moves, met_target, sta: sta.stats() }
+    let mut sta = StaStats::full_pass(m.netlist());
+    let baseline = crate::sta::arrivals(m);
+    let mut stop = None;
+    let arrivals = size_to_targets(m, &[target_ns], max_moves, baseline, None, |_, _, s| {
+        stop = Some(s.clone());
+    });
+    let stop = stop.expect("the one target is emitted");
+    sta.merge(stop.sta);
+    let timing = TimingReport::from_arrivals(m, arrivals);
+    SizingOutcome { timing, moves: stop.moves, met_target: stop.met_target, sta }
 }
 
-/// Stop-state handed to the emission callback of
-/// [`size_to_targets_seeded`].
+/// Stop-state handed to the emission callback of [`size_to_targets`].
 #[derive(Debug, Clone)]
 pub struct TargetStop {
     /// Worst endpoint arrival at the stop point.
@@ -70,46 +67,45 @@ pub struct TargetStop {
     pub moves: usize,
     /// Whether the target was met there.
     pub met_target: bool,
-    /// Timing-engine work counters at the stop point.
+    /// Incremental timing work done up to the stop point.
     pub sta: StaStats,
 }
 
 /// Sizes `m` along the single TILOS trajectory shared by several
 /// delay targets, reporting each entry of `targets_ns` at its stop
-/// point via `emit(m, target_index, stop)`.
+/// point via `emit(m, target_index, stop)`, and returns the final
+/// arrivals. This is the only sizing loop: every synthesis report
+/// comes from it.
 ///
-/// The loop starts from externally supplied all-X1 `baseline`
-/// arrivals instead of a full timing pass, and skips the per-batch
-/// arrival clone and whole-netlist flip-flop scan of the report path
-/// (`dffs` lists the Dff gate indices in ascending order). Decision
-/// for decision it mirrors [`size_to_target`] — same batch selection,
-/// same convergence test, same arc arithmetic.
+/// The loop starts from the supplied `baseline` arrivals of `m` and
+/// skips the per-batch arrival clone of a full report; `dffs`, when
+/// given, lists the Dff gate indices in ascending order so endpoint
+/// scans skip the whole-netlist walk. Each batch upsizes the best-scoring critical-path cells and
+/// is re-timed incrementally; debug builds check the arrivals and the
+/// worst delay against a full [`analyze`](crate::analyze) after every
+/// batch.
 ///
-/// That batch selection depends only on the current mapping and
-/// arrival state — the delay target merely decides when the loop
-/// *stops*. Every looser target's independent run is therefore a
-/// prefix of the tightest target's, and one trajectory serves all
-/// targets bit-identically: `emit` observes `m` exactly as
-/// [`size_to_target`] with the same `max_moves` would have left it,
-/// and only the [`StaStats`] work counters differ (no initial full
-/// pass is charged). The evaluation pipeline leans on this to
-/// synthesize a netlist under its whole fan of delay constraints for
-/// little more than the cost of the tightest one.
-pub(crate) fn size_to_targets_seeded(
+/// Batch selection depends only on the current mapping and arrival
+/// state — the delay target merely decides when the loop *stops*. A
+/// looser target's trajectory is therefore a prefix of a tighter
+/// one's, and one trajectory serves all targets bit-identically:
+/// `emit` observes `m` exactly as a run toward that target alone
+/// would leave it. A NaN target stops at once, unmet.
+pub(crate) fn size_to_targets(
     m: &mut MappedNetlist<'_>,
     targets_ns: &[f64],
     max_moves: usize,
     baseline: Vec<f64>,
-    dffs: &[u32],
+    dffs: Option<&[u32]>,
     mut emit: impl FnMut(&MappedNetlist<'_>, usize, &TargetStop),
-) {
+) -> Vec<f64> {
     let mut sta = IncrementalSta::new();
     sta.seed(m, baseline);
-    let (mut worst, mut worst_net) = worst_endpoint(m, sta.arrivals(), Some(dffs));
+    let (mut worst, mut worst_net) = worst_endpoint(m, sta.arrivals(), dffs);
     // Ascending by target: the loosest pending target sits last and
     // satisfied targets pop off the back.
     let mut pending: Vec<(usize, f64)> = targets_ns.iter().copied().enumerate().collect();
-    pending.sort_by(|a, b| a.1.partial_cmp(&b.1).expect("finite targets"));
+    pending.sort_by(|a, b| a.1.total_cmp(&b.1));
     let mut moves = 0;
     let mut path = Vec::new();
     let mut batch = Batch::default();
@@ -118,8 +114,9 @@ pub(crate) fn size_to_targets_seeded(
             if worst > target {
                 break;
             }
-            let stop =
-                TargetStop { worst_delay_ns: worst, moves, met_target: true, sta: sta.stats() };
+            // Met, unless the target is NaN: that one stops here unmet.
+            let met_target = worst <= target;
+            let stop = TargetStop { worst_delay_ns: worst, moves, met_target, sta: sta.stats() };
             emit(m, idx, &stop);
             pending.pop();
         }
@@ -133,11 +130,22 @@ pub(crate) fn size_to_targets_seeded(
         }
         moves += batch.resized.len();
         sta.propagate(m, &batch.resized);
-        (worst, worst_net) = worst_endpoint(m, sta.arrivals(), Some(dffs));
+        (worst, worst_net) = worst_endpoint(m, sta.arrivals(), dffs);
+
+        #[cfg(debug_assertions)]
+        {
+            let full = crate::sta::arrivals(m);
+            let (full_worst, _) = worst_endpoint(m, &full, None);
+            debug_assert!(
+                full == sta.arrivals() && full_worst == worst,
+                "incremental STA diverged from full analyze after {moves} moves \
+                 (worst {worst} vs {full_worst})",
+            );
+        }
     }
     // Targets the trajectory never reached (move cap or no helpful
     // move left) all end in the same final state, exactly where their
-    // independent runs would have given up.
+    // own runs would have given up.
     for &(idx, target) in pending.iter().rev() {
         let stop = TargetStop {
             worst_delay_ns: worst,
@@ -147,6 +155,7 @@ pub(crate) fn size_to_targets_seeded(
         };
         emit(m, idx, &stop);
     }
+    sta.into_arrivals()
 }
 
 /// One sizing batch's buffers, reused from batch to batch so the loop
@@ -259,7 +268,7 @@ mod tests {
     ) -> (usize, f64, bool, Vec<String>) {
         let baseline = analyze(m).arrivals;
         let mut out = None;
-        size_to_targets_seeded(m, &[target], max_moves, baseline, dffs, |m, ti, stop| {
+        size_to_targets(m, &[target], max_moves, baseline, Some(dffs), |m, ti, stop| {
             assert_eq!(ti, 0);
             out = Some((stop.moves, stop.worst_delay_ns, stop.met_target, cell_names(m)));
         });

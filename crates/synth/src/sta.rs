@@ -10,11 +10,11 @@
 //! whole netlist, and [`IncrementalSta`] re-propagates only through
 //! the fanout cone of gates touched by a sizing batch. Because both
 //! evaluate the identical arc expression on identical operands, the
-//! incremental arrivals are bit-identical to a full pass (asserted as
-//! a debug-build oracle).
+//! incremental arrivals are bit-identical to a full pass (asserted
+//! after every sizing batch in debug builds).
 
 use crate::map::MappedNetlist;
-use rlmul_rtl::{Gate, GateKind, NetId};
+use rlmul_rtl::{Gate, GateKind, NetId, Netlist};
 
 /// The inputs that output slot `k` of `g` actually depends on.
 fn arc_inputs(g: &Gate, k: usize) -> &[NetId] {
@@ -52,6 +52,11 @@ pub struct StaStats {
 }
 
 impl StaStats {
+    /// The one whole-netlist pass that seeds a from-scratch run.
+    pub(crate) fn full_pass(netlist: &Netlist) -> Self {
+        StaStats { full_passes: 1, full_gate_visits: netlist.gates().len(), ..Self::default() }
+    }
+
     /// Accumulates `other` into `self`.
     pub fn merge(&mut self, other: StaStats) {
         self.full_passes += other.full_passes;
@@ -156,16 +161,29 @@ pub(crate) fn critical_path_from(
     critical_path.reverse();
 }
 
-/// Endpoint scan and critical-path walk over finished arrivals.
-fn report_from(m: &MappedNetlist<'_>, arrivals: Vec<f64>) -> TimingReport {
-    let (worst, worst_net) = worst_endpoint(m, &arrivals, None);
-    let mut critical_path = Vec::new();
-    critical_path_from(m, &arrivals, worst_net, &mut critical_path);
-    TimingReport { worst_delay_ns: worst, arrivals, critical_path }
+/// Appends the Dff gates of `netlist.gates()[from..]` to `dffs`, in
+/// ascending order: the list [`worst_endpoint`] takes.
+pub(crate) fn extend_dffs(netlist: &Netlist, from: usize, dffs: &mut Vec<u32>) {
+    for (gi, g) in netlist.gates().iter().enumerate().skip(from) {
+        if g.kind == GateKind::Dff {
+            dffs.push(gi as u32);
+        }
+    }
 }
 
-/// Runs STA over the mapped netlist.
-pub fn analyze(m: &MappedNetlist<'_>) -> TimingReport {
+impl TimingReport {
+    /// The report over finished `arrivals` of `m`: endpoint scan and
+    /// critical-path walk.
+    pub fn from_arrivals(m: &MappedNetlist<'_>, arrivals: Vec<f64>) -> Self {
+        let (worst, worst_net) = worst_endpoint(m, &arrivals, None);
+        let mut critical_path = Vec::new();
+        critical_path_from(m, &arrivals, worst_net, &mut critical_path);
+        TimingReport { worst_delay_ns: worst, arrivals, critical_path }
+    }
+}
+
+/// Arrival time of every net of `m`, from one whole-netlist pass.
+pub(crate) fn arrivals(m: &MappedNetlist<'_>) -> Vec<f64> {
     let n = m.netlist();
     let mut arrivals = vec![0.0f64; n.num_nets() as usize];
     for (gi, g) in n.gates().iter().enumerate() {
@@ -173,7 +191,12 @@ pub fn analyze(m: &MappedNetlist<'_>) -> TimingReport {
             arrivals[o.0 as usize] = arc_arrival(m, gi, g, k, &arrivals);
         }
     }
-    report_from(m, arrivals)
+    arrivals
+}
+
+/// Runs STA over the mapped netlist.
+pub fn analyze(m: &MappedNetlist<'_>) -> TimingReport {
+    TimingReport::from_arrivals(m, arrivals(m))
 }
 
 /// The incremental engine's worklist: one bit per gate, popped lowest
@@ -238,8 +261,8 @@ pub struct IncrementalSta {
 }
 
 impl IncrementalSta {
-    /// A fresh engine; call [`IncrementalSta::analyze_full`] before
-    /// the first [`IncrementalSta::update`].
+    /// A fresh engine; call [`IncrementalSta::seed`] before the first
+    /// [`IncrementalSta::propagate`].
     pub fn new() -> Self {
         Self::default()
     }
@@ -267,18 +290,8 @@ impl IncrementalSta {
         self.arrivals
     }
 
-    /// Whole-netlist pass that (re)seeds the cached arrivals.
-    pub fn analyze_full(&mut self, m: &MappedNetlist<'_>) -> TimingReport {
-        let report = analyze(m);
-        self.arrivals = report.arrivals.clone();
-        self.work.reset(m.netlist().gates().len());
-        self.stats.full_passes += 1;
-        self.stats.full_gate_visits += m.netlist().gates().len();
-        report
-    }
-
     /// Installs externally computed arrivals (e.g. a clone of a shared
-    /// per-step baseline) without any propagation pass.
+    /// all-X1 baseline) without any propagation pass.
     pub fn seed(&mut self, m: &MappedNetlist<'_>, arrivals: Vec<f64>) {
         debug_assert_eq!(arrivals.len(), m.netlist().num_nets() as usize);
         self.work.reset(m.netlist().gates().len());
@@ -321,7 +334,7 @@ impl IncrementalSta {
         seeds: &[usize],
         first_suffix_gate: usize,
     ) {
-        assert!(!self.arrivals.is_empty(), "IncrementalSta::patch_baseline before analyze_full");
+        assert!(!self.arrivals.is_empty(), "IncrementalSta::patch_baseline before arrivals seeded");
         let n = m_new.netlist();
         self.arrivals.resize(n.num_nets() as usize, 0.0);
         // Undriven ids (sweep holes, primary inputs) are never written
@@ -347,10 +360,9 @@ impl IncrementalSta {
 
         #[cfg(debug_assertions)]
         {
-            let full = analyze(m_new);
-            if full.arrivals != self.arrivals {
+            let full = arrivals(m_new);
+            if full != self.arrivals {
                 let diffs: Vec<(usize, f64, f64)> = full
-                    .arrivals
                     .iter()
                     .zip(&self.arrivals)
                     .enumerate()
@@ -391,33 +403,6 @@ impl IncrementalSta {
             }
         }
         self.stats.incremental_gate_visits += visits;
-    }
-
-    /// Re-propagates arrivals through the fanout cone of `resized`
-    /// gates and returns a report identical to a full [`analyze`].
-    pub fn update(&mut self, m: &MappedNetlist<'_>, resized: &[usize]) -> TimingReport {
-        assert!(!self.arrivals.is_empty(), "IncrementalSta::update before analyze_full");
-        self.propagate(m, resized);
-
-        let report = report_from(m, self.arrivals.clone());
-
-        // Debug oracle: the incremental arrivals must be bit-identical
-        // to a from-scratch full analysis.
-        #[cfg(debug_assertions)]
-        {
-            let full = analyze(m);
-            debug_assert!(
-                full.arrivals == report.arrivals
-                    && full.worst_delay_ns == report.worst_delay_ns
-                    && full.critical_path == report.critical_path,
-                "incremental STA diverged from full analyze \
-                 (worst {} vs {})",
-                report.worst_delay_ns,
-                full.worst_delay_ns,
-            );
-        }
-
-        report
     }
 }
 

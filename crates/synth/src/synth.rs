@@ -1,10 +1,16 @@
-//! The synthesis driver: map → size under constraint → report PPA.
+//! The synthesis engine: map → size under constraint → report PPA.
+//!
+//! [`Tables`] holds what every option set of one netlist shares. The
+//! stateless [`Synthesizer`] builds them from scratch, the incremental
+//! session patches the previous call's, and both report through
+//! [`synthesize`]: min-area options straight off the all-X1 baseline,
+//! delay targets with a common move budget along one sizing trajectory.
 
 use crate::library::Library;
-use crate::map::MappedNetlist;
+use crate::map::{net_loads, x1_cell_of, MappedNetlist, NetConn};
 use crate::power::{report_sums, signal_probabilities};
-use crate::size::size_to_target;
-use crate::sta::{analyze, StaStats};
+use crate::size::{size_to_targets, TargetStop};
+use crate::sta::{extend_dffs, worst_endpoint, StaStats};
 use crate::SynthError;
 use rlmul_rtl::Netlist;
 
@@ -62,6 +68,155 @@ impl SynthesisReport {
     }
 }
 
+/// The per-netlist state every report of one call reads.
+#[derive(Debug, Clone)]
+pub(crate) struct Tables {
+    pub(crate) conn: NetConn,
+    /// All-X1 arrival times (the sizing trajectories' starting point).
+    pub(crate) baseline: Vec<f64>,
+    /// Dff gate indices in ascending (= netlist) order.
+    pub(crate) dffs: Vec<u32>,
+    /// All-X1 cell binding — each mapping starts as a memcpy of this
+    /// instead of per-gate library lookups.
+    pub(crate) cell_of: Vec<usize>,
+    /// Net loads under `cell_of`, copied into each mapping alongside it.
+    pub(crate) loads: Vec<f64>,
+    /// Signal probability of every net, for power estimates.
+    pub(crate) probs: Vec<f64>,
+}
+
+impl Tables {
+    /// The tables of `netlist`, built from scratch. The baseline costs
+    /// one full timing pass.
+    pub(crate) fn build(netlist: &Netlist, library: &Library) -> Self {
+        let conn = NetConn::build(netlist);
+        let cell_of = x1_cell_of(netlist, library);
+        let mut loads = Vec::new();
+        net_loads(netlist, library, &conn, &cell_of, &mut loads);
+        let mut tables = Tables {
+            conn,
+            baseline: Vec::new(),
+            dffs: Vec::new(),
+            cell_of,
+            loads,
+            probs: signal_probabilities(netlist),
+        };
+        extend_dffs(netlist, 0, &mut tables.dffs);
+        tables.baseline = crate::sta::arrivals(&tables.mapping(netlist, library));
+        tables
+    }
+
+    /// A fresh all-X1 mapping of `netlist` over the tables.
+    pub(crate) fn mapping<'a>(
+        &'a self,
+        netlist: &'a Netlist,
+        library: &'a Library,
+    ) -> MappedNetlist<'a> {
+        MappedNetlist::map_with_parts(
+            netlist,
+            library,
+            &self.conn,
+            self.cell_of.clone(),
+            self.loads.clone(),
+        )
+    }
+
+    /// The report of `o` for mapping `m` stopped at `stop`.
+    fn report(
+        &self,
+        m: &MappedNetlist<'_>,
+        o: &SynthesisOptions,
+        stop: &TargetStop,
+    ) -> SynthesisReport {
+        let delay = stop.worst_delay_ns.max(1e-6);
+        let (power, area_um2, drive_histogram) = report_sums(m, &self.probs, 1.0 / delay);
+        SynthesisReport {
+            area_um2,
+            delay_ns: stop.worst_delay_ns,
+            power_mw: power.total_mw(),
+            target_delay_ns: o.target_delay_ns,
+            met_target: stop.met_target,
+            drive_histogram,
+            sizing_moves: stop.moves,
+            num_cells: m.netlist().gates().len(),
+            sta: stop.sta,
+        }
+    }
+}
+
+/// Rejects what no report can be made of: a gate-free netlist, or a
+/// delay target that is not a finite number.
+pub(crate) fn check(netlist: &Netlist, options: &[SynthesisOptions]) -> Result<(), SynthError> {
+    if netlist.gates().is_empty() {
+        return Err(SynthError::EmptyNetlist);
+    }
+    match options.iter().filter_map(|o| o.target_delay_ns).find(|t| !t.is_finite()) {
+        Some(target_ns) => Err(SynthError::NonFiniteTarget { target_ns }),
+        None => Ok(()),
+    }
+}
+
+/// One report per option, in option order, off `netlist`'s `tables`.
+/// Each report's [`StaStats`] counts only the incremental timing work
+/// of its own trajectory prefix.
+pub(crate) fn synthesize(
+    netlist: &Netlist,
+    tables: &Tables,
+    library: &Library,
+    options: &[SynthesisOptions],
+) -> Vec<SynthesisReport> {
+    let obs = rlmul_obs::global();
+    let mut slots: Vec<Option<SynthesisReport>> = vec![None; options.len()];
+    // Min-area options report straight off the shared baseline.
+    for (i, o) in options.iter().enumerate() {
+        if o.target_delay_ns.is_none() {
+            let _r = obs.span("synth.report");
+            let mapped = tables.mapping(netlist, library);
+            let (worst, _) = worst_endpoint(&mapped, &tables.baseline, Some(&tables.dffs));
+            let stop = TargetStop {
+                worst_delay_ns: worst,
+                moves: 0,
+                met_target: true,
+                sta: StaStats::default(),
+            };
+            slots[i] = Some(tables.report(&mapped, o, &stop));
+        }
+    }
+
+    // Delay-targeted options with a common move budget share one
+    // sizing trajectory: batch selection never reads the target, so
+    // each option's own run is a prefix of the tightest's, and its
+    // report is emitted at its stop point. The reports (power plus
+    // report fields) get their own child span, so this span's
+    // exclusive time is the trajectory alone.
+    let _s = obs.span("synth.sizing");
+    for first in 0..options.len() {
+        if options[first].target_delay_ns.is_none() || slots[first].is_some() {
+            continue;
+        }
+        let budget = options[first].max_upsizes;
+        let group: Vec<usize> = (first..options.len())
+            .filter(|&i| options[i].target_delay_ns.is_some())
+            .filter(|&i| options[i].max_upsizes == budget)
+            .collect();
+        let targets: Vec<f64> =
+            group.iter().map(|&i| options[i].target_delay_ns.expect("targeted")).collect();
+        let mut mapped = tables.mapping(netlist, library);
+        size_to_targets(
+            &mut mapped,
+            &targets,
+            budget,
+            tables.baseline.clone(),
+            Some(&tables.dffs),
+            |m, ti, stop| {
+                let _r = obs.span("synth.report");
+                slots[group[ti]] = Some(tables.report(m, &options[group[ti]], stop));
+            },
+        );
+    }
+    slots.into_iter().map(|s| s.expect("every option produced a report")).collect()
+}
+
 /// A reusable synthesis engine bound to one library.
 ///
 /// ```
@@ -103,65 +258,14 @@ impl Synthesizer {
     ///
     /// # Errors
     ///
-    /// Returns [`SynthError::EmptyNetlist`] for gate-free netlists.
+    /// As [`Synthesizer::run_many`].
     pub fn run(
         &self,
         netlist: &Netlist,
         options: &SynthesisOptions,
     ) -> Result<SynthesisReport, SynthError> {
-        if netlist.gates().is_empty() {
-            return Err(SynthError::EmptyNetlist);
-        }
-        let obs = rlmul_obs::global();
-        let _span = obs.span("synth.run");
-        // check: allow(wall-clock) duration feeds the obs histogram only
-        let started = std::time::Instant::now();
-        let mut mapped = MappedNetlist::map(netlist, &self.library);
-        let (timing, moves, met, sta) = match options.target_delay_ns {
-            Some(target) => {
-                let out = size_to_target(&mut mapped, target, options.max_upsizes);
-                (out.timing, out.moves, out.met_target, out.sta)
-            }
-            None => (
-                analyze(&mapped),
-                0,
-                true,
-                StaStats {
-                    full_passes: 1,
-                    full_gate_visits: netlist.gates().len(),
-                    ..StaStats::default()
-                },
-            ),
-        };
-        let delay = timing.worst_delay_ns.max(1e-6);
-        let (power, area_um2, drive_histogram) =
-            report_sums(&mapped, &signal_probabilities(netlist), 1.0 / delay);
-        if obs.is_enabled() {
-            obs.counter("rlmul_synth_runs_total", "Synthesis runs completed.").inc();
-            obs.histogram("rlmul_synth_run_seconds", "Wall time per synthesis run.")
-                .observe_duration(started.elapsed());
-            let visits = "Gate evaluations performed by timing analysis.";
-            obs.labeled_counter("rlmul_sta_gate_visits_total", visits, &[("mode", "full")])
-                .add(sta.full_gate_visits as u64);
-            obs.labeled_counter("rlmul_sta_gate_visits_total", visits, &[("mode", "incremental")])
-                .add(sta.incremental_gate_visits as u64);
-            let passes = "Timing-analysis propagation passes.";
-            obs.labeled_counter("rlmul_sta_passes_total", passes, &[("mode", "full")])
-                .add(sta.full_passes as u64);
-            obs.labeled_counter("rlmul_sta_passes_total", passes, &[("mode", "incremental")])
-                .add(sta.incremental_passes as u64);
-        }
-        Ok(SynthesisReport {
-            area_um2,
-            delay_ns: timing.worst_delay_ns,
-            power_mw: power.total_mw(),
-            target_delay_ns: options.target_delay_ns,
-            met_target: met,
-            drive_histogram,
-            sizing_moves: moves,
-            num_cells: netlist.gates().len(),
-            sta,
-        })
+        let mut reports = self.run_many(netlist, std::slice::from_ref(options))?;
+        Ok(reports.pop().expect("one report per option"))
     }
 
     /// Synthesizes once per target delay — the paper's "synthesis
@@ -170,7 +274,7 @@ impl Synthesizer {
     ///
     /// # Errors
     ///
-    /// Same as [`Synthesizer::run`].
+    /// As [`Synthesizer::run_many`].
     pub fn run_multi(
         &self,
         netlist: &Netlist,
@@ -181,44 +285,56 @@ impl Synthesizer {
         self.run_many(netlist, &options)
     }
 
-    /// Runs one synthesis per option set, fanning the independent
-    /// runs out over scoped threads and collecting reports in option
-    /// order.
+    /// Runs one synthesis per option set from scratch, reports in
+    /// option order.
     ///
-    /// Each run maps, sizes, and times its own private
-    /// [`MappedNetlist`]; `self` and `netlist` are only read. That
-    /// shared-`&self` contract is what makes [`Synthesizer`] safe to
-    /// call from many threads at once, and it keeps the parallel
-    /// reports bit-identical to [`Synthesizer::run_many_serial`] —
-    /// the same deterministic computation runs per target, only the
-    /// wall-clock interleaving changes.
+    /// Delay targets with a common move budget share one sizing
+    /// trajectory, and each stops where a run toward it alone would, so
+    /// every report equals a lone [`Synthesizer::run`] of its option,
+    /// field for field. Each report charges the one full timing pass
+    /// that built the all-X1 baseline, plus its own trajectory
+    /// prefix's incremental work.
     ///
     /// # Errors
     ///
-    /// The first error in option order, as [`Synthesizer::run`].
+    /// Returns [`SynthError::EmptyNetlist`] for gate-free netlists and
+    /// [`SynthError::NonFiniteTarget`] for a NaN or infinite delay
+    /// target.
     pub fn run_many(
         &self,
         netlist: &Netlist,
         options: &[SynthesisOptions],
     ) -> Result<Vec<SynthesisReport>, SynthError> {
-        if options.len() < 2 {
-            return self.run_many_serial(netlist, options);
+        check(netlist, options)?;
+        let obs = rlmul_obs::global();
+        let _span = obs.span("synth.run");
+        // check: allow(wall-clock) duration feeds the obs histogram only
+        let started = std::time::Instant::now();
+        let tables = Tables::build(netlist, &self.library);
+        let mut reports = synthesize(netlist, &tables, &self.library, options);
+        for r in &mut reports {
+            r.sta.merge(StaStats::full_pass(netlist));
         }
-        std::thread::scope(|scope| {
-            let handles: Vec<_> =
-                options.iter().map(|o| scope.spawn(move || self.run(netlist, o))).collect();
-            handles.into_iter().map(|h| h.join().expect("synthesis worker panicked")).collect()
-        })
-    }
-
-    /// Serial reference path for [`Synthesizer::run_many`]: identical
-    /// reports, one thread.
-    pub fn run_many_serial(
-        &self,
-        netlist: &Netlist,
-        options: &[SynthesisOptions],
-    ) -> Result<Vec<SynthesisReport>, SynthError> {
-        options.iter().map(|o| self.run(netlist, o)).collect()
+        if obs.is_enabled() {
+            let mut sta = StaStats::default();
+            reports.iter().for_each(|r| sta.merge(r.sta));
+            obs.counter("rlmul_synth_runs_total", "Synthesis runs completed.")
+                .add(reports.len() as u64);
+            obs.histogram("rlmul_synth_run_seconds", "Wall time per stateless synthesis call.")
+                .observe_duration(started.elapsed());
+            for (mode, visits, passes) in [
+                ("full", sta.full_gate_visits, sta.full_passes),
+                ("incremental", sta.incremental_gate_visits, sta.incremental_passes),
+            ] {
+                let help = "Gate evaluations performed by timing analysis.";
+                obs.labeled_counter("rlmul_sta_gate_visits_total", help, &[("mode", mode)])
+                    .add(visits as u64);
+                let help = "Timing-analysis propagation passes.";
+                obs.labeled_counter("rlmul_sta_passes_total", help, &[("mode", mode)])
+                    .add(passes as u64);
+            }
+        }
+        Ok(reports)
     }
 
     /// Sweeps target delays uniformly over `[from_ns, to_ns]` with
@@ -228,7 +344,7 @@ impl Synthesizer {
     /// # Errors
     ///
     /// Returns [`SynthError::InvalidSweep`] when `points < 2` or the
-    /// range is degenerate; otherwise as [`Synthesizer::run`].
+    /// range is degenerate; otherwise as [`Synthesizer::run_many`].
     pub fn sweep(
         &self,
         netlist: &Netlist,
@@ -334,17 +450,47 @@ mod tests {
     }
 
     #[test]
-    fn parallel_run_many_is_bit_identical_to_serial() {
+    fn run_many_equals_per_option_runs() {
         let synth = Synthesizer::nangate45();
         let nl = mul_netlist(8, PpgKind::And);
-        let options: Vec<SynthesisOptions> =
-            [0.7, 0.85, 1.0, 1.15].iter().map(|&t| SynthesisOptions::with_target(t)).collect();
-        let parallel = synth.run_many(&nl, &options).unwrap();
-        let serial = synth.run_many_serial(&nl, &options).unwrap();
-        assert_eq!(parallel, serial);
-        for (r, o) in parallel.iter().zip(&options) {
-            assert_eq!(r.target_delay_ns, o.target_delay_ns, "reports stay in request order");
+        let targeted = |t: f64, budget: usize| SynthesisOptions {
+            target_delay_ns: Some(t),
+            max_upsizes: budget,
+        };
+        let options = vec![
+            targeted(0.85, 40),
+            SynthesisOptions::default(),
+            targeted(0.7, 800),
+            targeted(1.15, 40),
+            targeted(1.0, 800),
+            targeted(0.6, 40),
+        ];
+        let many = synth.run_many(&nl, &options).unwrap();
+        let single: Vec<SynthesisReport> =
+            options.iter().map(|o| synth.run(&nl, o).unwrap()).collect();
+        assert_eq!(many, single, "every field, work counters included, in request order");
+        for (r, o) in many.iter().zip(&options) {
+            assert_eq!(r.target_delay_ns, o.target_delay_ns);
         }
+    }
+
+    #[test]
+    fn non_finite_targets_are_errors_at_both_front_doors() {
+        use crate::IncrementalSynthesis;
+        let nl = mul_netlist(4, PpgKind::And);
+        let synth = Synthesizer::nangate45();
+        let mut session = IncrementalSynthesis::nangate45();
+        for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            let options = [SynthesisOptions::with_target(1.0), SynthesisOptions::with_target(bad)];
+            let is_rejected = |r: Result<Vec<SynthesisReport>, SynthError>| {
+                matches!(r, Err(SynthError::NonFiniteTarget { target_ns })
+                    if target_ns.to_bits() == bad.to_bits())
+            };
+            assert!(is_rejected(synth.run_many(&nl, &options)), "stateless, target {bad}");
+            assert!(is_rejected(session.run_many(&nl, &options)), "session, target {bad}");
+        }
+        assert!(session.last_mode().is_none(), "a rejected call leaves no state behind");
+        assert!(synth.sweep(&nl, f64::NAN, 1.0, 3).is_err());
     }
 
     #[test]

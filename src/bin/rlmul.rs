@@ -22,7 +22,7 @@ use rlmul::lec::{check_datapath, check_formal};
 use rlmul::rtl::{
     from_verilog, quad_multiplier, to_verilog, AdderKind, MultiplierNetlist, Netlist,
 };
-use rlmul::synth::{SynthesisOptions, Synthesizer};
+use rlmul::synth::{SynthError, SynthesisOptions, Synthesizer};
 use rlmul::telemetry::{Event, Summary, TelemetryWriter};
 use std::collections::HashMap;
 use std::process::ExitCode;
@@ -901,7 +901,12 @@ fn cmd_synth(opts: &HashMap<String, String>) -> CliResult {
         true => SynthesisOptions::with_target(get(opts, "target", 0.0)?),
         false => SynthesisOptions::default(),
     };
-    let r = synth.run(&netlist, &options)?;
+    let r = synth.run(&netlist, &options).map_err(|e| match e {
+        SynthError::NonFiniteTarget { .. } => {
+            format!("invalid value `{}` for --target: {e}", opts["target"])
+        }
+        e => e.to_string(),
+    })?;
     println!("area   {:>9.1} um^2", r.area_um2);
     println!(
         "delay  {:>9.4} ns{}",

@@ -96,6 +96,18 @@ fn malformed_numeric_options_are_usage_errors() {
 }
 
 #[test]
+fn non_finite_synthesis_target_is_a_usage_error() {
+    assert_rejected(
+        "nantarget",
+        &[
+            (&["synth", "--bits", "4", "--target", "nan"], "`nan` for --target"),
+            (&["synth", "--bits", "4", "--target", "inf"], "`inf` for --target"),
+            (&["synth", "--bits", "4", "--target", "-inf"], "`-inf` for --target"),
+        ],
+    );
+}
+
+#[test]
 fn zero_step_budget_is_rejected() {
     assert_rejected(
         "zerosteps",

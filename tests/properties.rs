@@ -10,7 +10,7 @@ use rlmul::pareto::{dominates, hypervolume_2d, pareto_front, Point2};
 use rlmul::rtl::{
     add, from_verilog, lint, to_verilog, AdderKind, MultiplierNetlist, NetlistBuilder,
 };
-use rlmul::synth::{analyze, Drive, IncrementalSta, Library, MappedNetlist};
+use rlmul::synth::{analyze, Drive, IncrementalSta, Library, MappedNetlist, TimingReport};
 
 fn kind_strategy() -> impl Strategy<Value = PpgKind> {
     prop_oneof![
@@ -220,7 +220,7 @@ proptest! {
         let mut m = MappedNetlist::map(&netlist, &library);
         let num_gates = netlist.gates().len();
         let mut engine = IncrementalSta::new();
-        engine.analyze_full(&m);
+        engine.seed(&m, analyze(&m).arrivals);
         for batch in batches {
             let mut resized = Vec::new();
             for (pick, drive) in batch {
@@ -228,7 +228,8 @@ proptest! {
                 m.set_drive(gi, [Drive::X1, Drive::X2, Drive::X4][drive]);
                 resized.push(gi);
             }
-            let inc = engine.update(&m, &resized);
+            engine.propagate(&m, &resized);
+            let inc = TimingReport::from_arrivals(&m, engine.arrivals().to_vec());
             let full = analyze(&m);
             prop_assert_eq!(inc.worst_delay_ns.to_bits(), full.worst_delay_ns.to_bits());
             prop_assert_eq!(inc.arrivals.len(), full.arrivals.len());
