@@ -1,7 +1,9 @@
 //! Netlist-pipeline benchmark: from-scratch vs incremental
-//! elaborate→lint→map→size→STA step latency over identical action
-//! walks at 8/16/32/64 bits, with per-step allocation counts (from a
-//! counting global allocator) and the obs span-profiler breakdown.
+//! elaborate→lint→map→size→STA step latency over one action walk per
+//! width (8/16/32/64 bits), the two paths interleaved step by step,
+//! with per-step allocation counts (from a counting global allocator,
+//! read around each path's own step) and the obs span-profiler
+//! breakdown.
 //! Both paths run the same one-thread sizing trajectory, so the ratio
 //! measures only the work the incremental path skips. Asserts the two
 //! paths produce bit-identical PPA at every step and writes
@@ -80,93 +82,91 @@ fn walk(tree: &CompressorTree, steps: usize) -> Vec<CompressorTree> {
     out
 }
 
-/// Measured cost of one pipeline mode over a walk.
-struct ModeCost {
-    /// Median per-step wall time — robust against scheduler hiccups,
-    /// which matter at sub-millisecond step costs.
-    secs_per_step: f64,
-    allocs_per_step: f64,
+/// Per-step measurements of one pipeline path over a walk.
+#[derive(Default)]
+struct PathLog {
+    step_secs: Vec<f64>,
+    allocs: u64,
     reports: Vec<Vec<SynthesisReport>>,
 }
 
-fn median(mut xs: Vec<f64>) -> f64 {
-    xs.sort_by(f64::total_cmp);
-    xs[xs.len() / 2]
-}
-
-fn run_full(states: &[CompressorTree], options: &[SynthesisOptions]) -> ModeCost {
-    let obs = rlmul_obs::global();
-    let synth = Synthesizer::nangate45();
-    let mut reports = Vec::with_capacity(states.len());
-    let mut step_secs = Vec::with_capacity(states.len());
-    let a0 = ALLOCS.load(Ordering::Relaxed);
-    for tree in states {
-        let _s = obs.span("bench.full_step");
+impl PathLog {
+    /// Runs one step, timing it and counting only its own allocations.
+    fn step(&mut self, f: impl FnOnce() -> Vec<SynthesisReport>) {
+        let a0 = ALLOCS.load(Ordering::Relaxed);
         let t0 = Instant::now();
-        let netlist = {
-            let _e = obs.span("bench.full_elaborate");
-            MultiplierNetlist::elaborate(tree).expect("elaborates").into_netlist()
-        };
-        let report = {
-            let _l = obs.span("bench.full_lint");
-            lint(&netlist)
-        };
-        assert_eq!(report.errors(), 0, "lint gate: {}", report.render());
-        reports.push({
-            let _y = obs.span("bench.full_synth");
-            synth.run_many(&netlist, options).expect("synthesizes")
-        });
-        step_secs.push(t0.elapsed().as_secs_f64());
+        let reports = f();
+        let secs = t0.elapsed().as_secs_f64();
+        self.allocs += ALLOCS.load(Ordering::Relaxed) - a0;
+        self.step_secs.push(secs);
+        self.reports.push(reports);
     }
-    let allocs = ALLOCS.load(Ordering::Relaxed) - a0;
-    ModeCost {
-        secs_per_step: median(step_secs),
-        allocs_per_step: allocs as f64 / states.len() as f64,
-        reports,
+
+    /// Median per-step wall time — robust against scheduler hiccups,
+    /// which matter at sub-millisecond step costs.
+    fn secs_per_step(&self) -> f64 {
+        let mut xs = self.step_secs.clone();
+        xs.sort_by(f64::total_cmp);
+        xs[xs.len() / 2]
+    }
+
+    fn allocs_per_step(&self) -> f64 {
+        self.allocs as f64 / self.step_secs.len() as f64
     }
 }
 
-fn run_incremental(
+/// Steps the from-scratch and the incremental path over the same walk,
+/// alternating state by state, so a load spike on the machine lands on
+/// both paths instead of one. Returns `(full, incremental)`.
+fn run_interleaved(
     initial: &CompressorTree,
     states: &[CompressorTree],
     options: &[SynthesisOptions],
-) -> ModeCost {
+) -> (PathLog, PathLog) {
     let obs = rlmul_obs::global();
+    let scratch = Synthesizer::nangate45();
     let mut mul = IncrementalMultiplier::new(initial).expect("elaborates");
-    let mut synth = IncrementalSynthesis::nangate45();
+    let mut session = IncrementalSynthesis::nangate45();
     // Prime the session: the first run is necessarily a full one (it
     // builds the connectivity table and STA baseline the later steps
     // patch). Steady-state step cost is what the loop below measures.
-    synth.run_many(mul.netlist(), options).expect("synthesizes");
-    let mut reports = Vec::with_capacity(states.len());
-    let mut step_secs = Vec::with_capacity(states.len());
-    let a0 = ALLOCS.load(Ordering::Relaxed);
+    session.run_many(mul.netlist(), options).expect("synthesizes");
+    let (mut full, mut inc) = (PathLog::default(), PathLog::default());
     for tree in states {
-        let _s = obs.span("bench.inc_step");
-        let t0 = Instant::now();
-        {
-            let _r = obs.span("bench.retarget");
-            mul.retarget(tree).expect("retargets");
-        }
-        let report = {
-            let _l = obs.span("bench.lint_delta");
-            lint_delta(mul.arena(), mul.last_delta())
-        };
-        assert_eq!(report.errors(), 0, "delta lint gate: {}", report.render());
-        reports.push(synth.run_many(mul.netlist(), options).expect("synthesizes"));
-        step_secs.push(t0.elapsed().as_secs_f64());
+        full.step(|| {
+            let _s = obs.span("bench.full_step");
+            let netlist = {
+                let _e = obs.span("bench.full_elaborate");
+                MultiplierNetlist::elaborate(tree).expect("elaborates").into_netlist()
+            };
+            let report = {
+                let _l = obs.span("bench.full_lint");
+                lint(&netlist)
+            };
+            assert_eq!(report.errors(), 0, "lint gate: {}", report.render());
+            let _y = obs.span("bench.full_synth");
+            scratch.run_many(&netlist, options).expect("synthesizes")
+        });
+        inc.step(|| {
+            let _s = obs.span("bench.inc_step");
+            {
+                let _r = obs.span("bench.retarget");
+                mul.retarget(tree).expect("retargets");
+            }
+            let report = {
+                let _l = obs.span("bench.lint_delta");
+                lint_delta(mul.arena(), mul.last_delta())
+            };
+            assert_eq!(report.errors(), 0, "delta lint gate: {}", report.render());
+            session.run_many(mul.netlist(), options).expect("synthesizes")
+        });
     }
-    let allocs = ALLOCS.load(Ordering::Relaxed) - a0;
-    ModeCost {
-        secs_per_step: median(step_secs),
-        allocs_per_step: allocs as f64 / states.len() as f64,
-        reports,
-    }
+    (full, inc)
 }
 
 /// Bit-exact PPA comparison between the two pipelines — the external
 /// synthesis numbers must not drift by even one ULP.
-fn assert_bit_identical(full: &ModeCost, inc: &ModeCost, bits: usize) {
+fn assert_bit_identical(full: &PathLog, inc: &PathLog, bits: usize) {
     assert_eq!(full.reports.len(), inc.reports.len());
     for (step, (f, i)) in full.reports.iter().zip(&inc.reports).enumerate() {
         assert_eq!(f.len(), i.len());
@@ -247,34 +247,34 @@ fn bench_width(bits: usize, steps: usize, json: &mut Json) -> StepTimes {
         .collect();
 
     let before = rlmul_obs::global().span_stats();
-    let full = run_full(&states, &options);
-    let inc = run_incremental(&tree, &states, &options);
-    let inc_spans = rlmul_obs::global().span_stats_since(&before);
+    let (full, inc) = run_interleaved(&tree, &states, &options);
+    let spans = rlmul_obs::global().span_stats_since(&before);
     assert_bit_identical(&full, &inc, bits);
 
-    let speedup = full.secs_per_step / inc.secs_per_step;
+    let (full_secs, inc_secs) = (full.secs_per_step(), inc.secs_per_step());
+    let speedup = full_secs / inc_secs;
     println!(
         "{bits:>2}-bit ({} steps): full {:8.2} ms/step ({:9.0} allocs) | inc {:8.2} ms/step \
          ({:9.0} allocs) | {speedup:5.2}x, {:.1} steps/s",
         states.len(),
-        full.secs_per_step * 1e3,
-        full.allocs_per_step,
-        inc.secs_per_step * 1e3,
-        inc.allocs_per_step,
-        1.0 / inc.secs_per_step
+        full_secs * 1e3,
+        full.allocs_per_step(),
+        inc_secs * 1e3,
+        inc.allocs_per_step(),
+        1.0 / inc_secs
     );
-    json.field(&format!("full_step_ms_{bits}"), full.secs_per_step * 1e3);
-    json.field(&format!("inc_step_ms_{bits}"), inc.secs_per_step * 1e3);
-    json.field(&format!("full_steps_per_sec_{bits}"), 1.0 / full.secs_per_step);
-    json.field(&format!("inc_steps_per_sec_{bits}"), 1.0 / inc.secs_per_step);
-    json.field(&format!("full_allocs_per_step_{bits}"), full.allocs_per_step);
-    json.field(&format!("inc_allocs_per_step_{bits}"), inc.allocs_per_step);
+    json.field(&format!("full_step_ms_{bits}"), full_secs * 1e3);
+    json.field(&format!("inc_step_ms_{bits}"), inc_secs * 1e3);
+    json.field(&format!("full_steps_per_sec_{bits}"), 1.0 / full_secs);
+    json.field(&format!("inc_steps_per_sec_{bits}"), 1.0 / inc_secs);
+    json.field(&format!("full_allocs_per_step_{bits}"), full.allocs_per_step());
+    json.field(&format!("inc_allocs_per_step_{bits}"), inc.allocs_per_step());
     json.field(&format!("speedup_{bits}"), speedup);
-    print!("{}", rlmul_obs::render_span_tree(&inc_spans));
+    print!("{}", rlmul_obs::render_span_tree(&spans));
     StepTimes {
-        full_ms: full.secs_per_step * 1e3,
-        inc_ms: inc.secs_per_step * 1e3,
-        inc_allocs: inc.allocs_per_step,
+        full_ms: full_secs * 1e3,
+        inc_ms: inc_secs * 1e3,
+        inc_allocs: inc.allocs_per_step(),
     }
 }
 

@@ -3,7 +3,7 @@
 //! The repository's north-star items (the multi-tenant `rlmul serve`
 //! daemon and PrefixRL-scale distributed training) pile heavy
 //! concurrency onto the sharded coalescing eval cache, the telemetry
-//! ring writer and the A2C worker pool — and they inherit the
+//! ring writer and the job server's worker threads — and they inherit the
 //! bit-identical resume guarantees of the snapshot layer. This crate
 //! is the tooling that *proves* those primitives and invariants
 //! sound, the way the SAT-based CEC proves netlist rewrites sound.

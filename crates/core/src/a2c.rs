@@ -1,7 +1,8 @@
-//! RL-MUL-E: synchronous parallel advantage actor–critic
+//! RL-MUL-E: synchronous advantage actor–critic
 //! (paper Section IV-A, Algorithm 4).
 //!
-//! `n` environment instances step in parallel threads; the policy and
+//! `n` environment instances advance in lockstep, stepped in
+//! environment order on the training thread; the policy and
 //! value heads share the residual trunk (as the paper shares
 //! ResNet-18's convolutional layers). Updates use `k`-step
 //! bootstrapped returns, masked-softmax action sampling (Eqs. 13–15),
@@ -15,21 +16,19 @@ use crate::outcome::{OptimizationOutcome, PipelineStats};
 use crate::RlMulError;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use rlmul_check::sync::{channel, Receiver, Sender};
 use rlmul_nn::{
     clip_grad_norm, entropy, masked_softmax, restore_net, snapshot_net, Adam, Layer, Linear,
     NetSnapshot, NnStats, Optimizer, Param, Sequential, Tensor, TrunkConfig,
 };
-use rlmul_telemetry::{Event, TelemetrySink};
-use std::thread::{Scope, ScopedJoinHandle};
+use rlmul_telemetry::Event;
 
 /// A2C hyper-parameters. The paper's RL-MUL-E uses four synchronized
-/// workers and a five-step return; those are the defaults.
+/// environments and a five-step return; those are the defaults.
 #[derive(Debug, Clone)]
 pub struct A2cConfig {
-    /// Environment steps per worker.
+    /// Environment steps per environment instance.
     pub steps: usize,
-    /// Number of parallel environment instances `n`.
+    /// Number of environment instances `n`, stepped in lockstep.
     pub n_envs: usize,
     /// Update interval / bootstrap horizon `t_up` (paper: 5).
     pub n_step: usize,
@@ -147,9 +146,8 @@ pub(crate) struct Sample {
     pub(crate) reward: f32,
 }
 
-/// Everything the main loop needs back from one environment step.
-/// Computed inside the worker so encoding and mask derivation also
-/// run in parallel.
+/// Everything the main loop needs back from one environment step:
+/// the reward and cost, plus the next state's encoding and mask.
 struct StepReply {
     reward: f64,
     cost: f64,
@@ -164,155 +162,13 @@ fn step_reply(env: &mut MulEnv, action: usize) -> Result<StepReply, RlMulError> 
     Ok(StepReply { reward: out.reward, cost: out.cost, state, mask })
 }
 
-/// Commands the main thread sends a pool worker.
-enum Cmd {
-    /// Step the environment with this flattened action index.
-    Step(usize),
-    /// Capture the environment's [`EnvSnapshot`] and working set at
-    /// the current step boundary (the checkpoint path).
-    Snapshot,
-}
-
-/// Worker replies, matching [`Cmd`] one-to-one. A step reply carries
-/// the telemetry the environment held back during the step.
-enum Reply {
-    Step(Box<(Result<StepReply, RlMulError>, Vec<Event>)>),
-    Snapshot(Box<(EnvSnapshot, WorkingSet)>),
-}
-
-/// Every worker's [`EnvSnapshot`] plus the exported union of their
+/// Every environment's [`EnvSnapshot`] plus the exported union of their
 /// working sets — the environment half of an [`A2cSnapshot`].
 type Captured = (Vec<EnvSnapshot>, Vec<(CacheKey, Evaluation)>);
 
 fn capture(envs: &mut [MulEnv]) -> Captured {
     let snaps = envs.iter_mut().map(MulEnv::snapshot).collect();
     (snaps, WorkingSet::export_union(envs.iter().map(MulEnv::working_set)))
-}
-
-/// A persistent worker per environment, fed commands over a channel —
-/// threads are spawned once per training run instead of once per
-/// step. Workers hand their environment back at [`EnvPool::finish`].
-///
-/// With a single environment no threads are spawned at all (serial
-/// fallback); results are identical either way because action
-/// selection (and its RNG) stays on the main thread and replies are
-/// collected in environment order.
-enum EnvPool<'scope> {
-    Serial(Vec<MulEnv>),
-    Parallel(Vec<PoolWorker<'scope>>),
-}
-
-struct PoolWorker<'scope> {
-    tx: Sender<Cmd>,
-    rx: Receiver<Reply>,
-    handle: ScopedJoinHandle<'scope, MulEnv>,
-}
-
-impl<'scope> EnvPool<'scope> {
-    fn launch<'env>(scope: &'scope Scope<'scope, 'env>, envs: Vec<MulEnv>) -> Self {
-        if envs.len() == 1 {
-            return EnvPool::Serial(envs);
-        }
-        let workers = envs
-            .into_iter()
-            .map(|mut env| {
-                env.hold_telemetry(true);
-                let (tx_cmd, rx_cmd) = channel::<Cmd>("core.pool.cmd");
-                let (tx_reply, rx_reply) = channel("core.pool.reply");
-                let handle = scope.spawn(move || {
-                    while let Ok(cmd) = rx_cmd.recv() {
-                        let reply = match cmd {
-                            Cmd::Step(action) => {
-                                let reply = step_reply(&mut env, action);
-                                Reply::Step(Box::new((reply, env.take_held_telemetry())))
-                            }
-                            Cmd::Snapshot => Reply::Snapshot(Box::new((
-                                env.snapshot(),
-                                env.working_set().clone(),
-                            ))),
-                        };
-                        if tx_reply.send(reply).is_err() {
-                            break;
-                        }
-                    }
-                    env
-                });
-                PoolWorker { tx: tx_cmd, rx: rx_reply, handle }
-            })
-            .collect();
-        EnvPool::Parallel(workers)
-    }
-
-    /// Steps every environment with its action; replies come back in
-    /// environment order regardless of completion order, and so do the
-    /// workers' telemetry events, which are emitted into `sink` here.
-    fn step_all(
-        &mut self,
-        actions: &[usize],
-        sink: &TelemetrySink,
-    ) -> Vec<Result<StepReply, RlMulError>> {
-        match self {
-            EnvPool::Serial(envs) => {
-                envs.iter_mut().zip(actions).map(|(env, &a)| step_reply(env, a)).collect()
-            }
-            EnvPool::Parallel(workers) => {
-                for (w, &a) in workers.iter().zip(actions) {
-                    w.tx.send(Cmd::Step(a)).expect("worker thread exited early");
-                }
-                workers
-                    .iter()
-                    .map(|w| match w.rx.recv().expect("worker thread panicked") {
-                        Reply::Step(r) => {
-                            let (reply, events) = *r;
-                            for event in events {
-                                sink.emit(event);
-                            }
-                            reply
-                        }
-                        Reply::Snapshot(_) => unreachable!("step command answered with snapshot"),
-                    })
-                    .collect()
-            }
-        }
-    }
-
-    /// Collects every environment's snapshot and working set at the
-    /// current step boundary (workers are idle between `step_all`
-    /// calls, so this observes a consistent global state).
-    fn snapshot_all(&mut self) -> Captured {
-        match self {
-            EnvPool::Serial(envs) => capture(envs),
-            EnvPool::Parallel(workers) => {
-                for w in workers.iter() {
-                    w.tx.send(Cmd::Snapshot).expect("worker thread exited early");
-                }
-                let (snaps, sets): (Vec<EnvSnapshot>, Vec<WorkingSet>) = workers
-                    .iter()
-                    .map(|w| match w.rx.recv().expect("worker thread panicked") {
-                        Reply::Snapshot(s) => *s,
-                        Reply::Step(_) => unreachable!("snapshot command answered with step"),
-                    })
-                    .unzip();
-                (snaps, WorkingSet::export_union(&sets))
-            }
-        }
-    }
-
-    /// Shuts the workers down and returns the environments.
-    fn finish(self) -> Vec<MulEnv> {
-        match self {
-            EnvPool::Serial(envs) => envs,
-            EnvPool::Parallel(workers) => workers
-                .into_iter()
-                .map(|w| {
-                    drop(w.tx);
-                    let mut env = w.handle.join().expect("worker thread panicked");
-                    env.hold_telemetry(false);
-                    env
-                })
-                .collect(),
-        }
-    }
 }
 
 /// Trains RL-MUL-E: `config.n_envs` synchronized environments built
@@ -453,16 +309,18 @@ pub fn train_a2c_with(
             });
         }
     }
-    // Network forwards/backwards all run on this thread; the env
-    // workers only step environments, so a thread-local snapshot
-    // captures the whole run's dense-kernel work.
+    // Network forwards/backwards all run on this thread, so a
+    // thread-local snapshot captures the whole run's dense-kernel work.
+    // The environment steps run here too; their own dense work (the
+    // surrogate's MLP) is counted in `step_nn` and left out of the
+    // agent's figure.
     let nn_before = NnStats::snapshot();
-    // All workers share one evaluation cache: a state synthesized by
-    // any of them is a hit for the rest, and the in-flight coalescing
-    // keeps two workers from ever synthesizing the same state at the
-    // same time. The snapshot's entries are imported (into worker 0's
-    // working set) before any worker is built, so every anchor run and
-    // initial-state evaluation hits.
+    let mut step_nn = NnStats::default();
+    // All environments share one evaluation cache: a state synthesized
+    // by any of them is a hit for the rest. The snapshot's entries are
+    // imported (into environment 0's working set) before any
+    // environment is built, so every anchor run and initial-state
+    // evaluation hits.
     let mut imported = resume.as_mut().map(|snap| std::mem::take(&mut snap.cache));
     let mut envs: Vec<MulEnv> = (0..config.n_envs)
         .map(|_| {
@@ -531,85 +389,80 @@ pub fn train_a2c_with(
     );
     let mut best_saved = f64::INFINITY;
     let mut completed = start;
-    let mut envs = std::thread::scope(|scope| -> Result<Vec<MulEnv>, RlMulError> {
-        let mut pool = EnvPool::launch(scope, envs);
-        for t in start..config.steps {
-            if hooks.stop_requested() {
-                break;
-            }
-            let _step_span = obs.span("a2c.step");
-            agent_steps.inc();
-            // Policy forward over all workers at once; action
-            // sampling stays on the main thread so the RNG stream —
-            // and therefore the whole run — is independent of worker
-            // scheduling.
-            let mut batch = Vec::with_capacity(config.n_envs * volume);
-            for s in &states {
-                batch.extend_from_slice(s);
-            }
-            let x = Tensor::from_vec(&[config.n_envs, shape[1], shape[2], shape[3]], batch);
-            let (logits, _) = net.forward_both(&x, false);
-            let chosen: Vec<usize> = (0..config.n_envs)
-                .map(|i| {
-                    let row = &logits.data()[i * actions..(i + 1) * actions];
-                    let probs = masked_softmax(row, &masks[i]);
-                    sample_from(&probs, &mut rng)
-                })
-                .collect();
-
-            // Synchronous parallel environment stepping (paper
-            // Fig. 6), replies in environment order.
-            let replies = pool.step_all(&chosen, &hooks.telemetry);
-            let mut mean_cost = 0.0;
-            let mut mean_reward = 0.0;
-            for (i, res) in replies.into_iter().enumerate() {
-                let reply = res?;
-                mean_cost += reply.cost / config.n_envs as f64;
-                mean_reward += reply.reward / config.n_envs as f64;
-                rollout[i].push(Sample {
-                    state: std::mem::take(&mut states[i]),
-                    mask: std::mem::take(&mut masks[i]),
-                    action: chosen[i],
-                    reward: reply.reward as f32,
-                });
-                states[i] = reply.state;
-                masks[i] = reply.mask;
-            }
-            trajectory.push(mean_cost);
-            if hooks.telemetry.is_enabled() {
-                hooks.telemetry.emit(
-                    Event::new("episode")
-                        .with("method", "a2c")
-                        .with("step", t as u64)
-                        .with("reward", mean_reward)
-                        .with("cost", mean_cost),
-                );
-            }
-
-            if rollout[0].len() >= config.n_step {
-                update(&mut net, &mut opt, &mut rollout, &states, config, &shape, actions);
-            }
-            completed = t + 1;
-            hooks.report_progress(completed);
-            if hooks.checkpoint_due(completed, config.steps) {
-                save_a2c_checkpoint(
-                    completed,
-                    &rng,
-                    &mut net,
-                    &opt,
-                    &rollout,
-                    &states,
-                    &masks,
-                    &trajectory,
-                    pool.snapshot_all(),
-                    hooks,
-                    &mut best_saved,
-                    true,
-                )?;
-            }
+    for t in start..config.steps {
+        if hooks.stop_requested() {
+            break;
         }
-        Ok(pool.finish())
-    })?;
+        let _step_span = obs.span("a2c.step");
+        agent_steps.inc();
+        // Policy forward over all environments at once; action sampling
+        // draws from the one RNG stream in environment order.
+        let mut batch = Vec::with_capacity(config.n_envs * volume);
+        for s in &states {
+            batch.extend_from_slice(s);
+        }
+        let x = Tensor::from_vec(&[config.n_envs, shape[1], shape[2], shape[3]], batch);
+        let (logits, _) = net.forward_both(&x, false);
+        let chosen: Vec<usize> = (0..config.n_envs)
+            .map(|i| {
+                let row = &logits.data()[i * actions..(i + 1) * actions];
+                let probs = masked_softmax(row, &masks[i]);
+                sample_from(&probs, &mut rng)
+            })
+            .collect();
+
+        // Synchronous environment stepping (paper Fig. 6), in
+        // environment order.
+        let mut mean_cost = 0.0;
+        let mut mean_reward = 0.0;
+        let nn = NnStats::snapshot();
+        for (i, env) in envs.iter_mut().enumerate() {
+            let reply = step_reply(env, chosen[i])?;
+            mean_cost += reply.cost / config.n_envs as f64;
+            mean_reward += reply.reward / config.n_envs as f64;
+            rollout[i].push(Sample {
+                state: std::mem::take(&mut states[i]),
+                mask: std::mem::take(&mut masks[i]),
+                action: chosen[i],
+                reward: reply.reward as f32,
+            });
+            states[i] = reply.state;
+            masks[i] = reply.mask;
+        }
+        step_nn.merge(NnStats::snapshot().since(nn));
+        trajectory.push(mean_cost);
+        if hooks.telemetry.is_enabled() {
+            hooks.telemetry.emit(
+                Event::new("episode")
+                    .with("method", "a2c")
+                    .with("step", t as u64)
+                    .with("reward", mean_reward)
+                    .with("cost", mean_cost),
+            );
+        }
+
+        if rollout[0].len() >= config.n_step {
+            update(&mut net, &mut opt, &mut rollout, &states, config, &shape, actions);
+        }
+        completed = t + 1;
+        hooks.report_progress(completed);
+        if hooks.checkpoint_due(completed, config.steps) {
+            save_a2c_checkpoint(
+                completed,
+                &rng,
+                &mut net,
+                &opt,
+                &rollout,
+                &states,
+                &masks,
+                &trajectory,
+                capture(&mut envs),
+                hooks,
+                &mut best_saved,
+                true,
+            )?;
+        }
+    }
 
     // Verification sweep on normal completion only: an interrupted
     // run sweeps when its resumption finishes, so resume stays
@@ -639,7 +492,8 @@ pub fn train_a2c_with(
             false,
         )?;
     }
-    let pipeline = PipelineStats::pooled(&envs, NnStats::snapshot().since(nn_before));
+    let pipeline =
+        PipelineStats::pooled(&envs, NnStats::snapshot().since(nn_before).since(step_nn));
     if hooks.telemetry.is_enabled() {
         hooks.telemetry.emit(pipeline.cache_event());
         hooks.telemetry.emit(Event::new("nn").with("flops", pipeline.nn.flops));
@@ -816,12 +670,12 @@ mod tests {
     }
 
     #[test]
-    fn a2c_runs_with_parallel_workers() {
+    fn a2c_runs_with_n_envs_2() {
         let (env_cfg, cfg) = tiny();
         let out = train_a2c(&env_cfg, &cfg).unwrap();
         assert_eq!(out.trajectory.len(), 10);
         out.best.check_legal().unwrap();
-        // Two workers each synthesize at least their initial state.
+        // Two environments each synthesize at least their initial state.
         assert!(out.states_visited >= 2);
     }
 
@@ -834,7 +688,7 @@ mod tests {
     }
 
     #[test]
-    fn single_env_serial_fallback_runs() {
+    fn a2c_runs_with_n_envs_1() {
         let (env_cfg, mut cfg) = tiny();
         cfg.n_envs = 1;
         cfg.steps = 4;

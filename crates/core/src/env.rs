@@ -211,9 +211,6 @@ pub struct MulEnv {
     /// [`MulEnv::stats`].
     stats: EnvStats,
     sink: TelemetrySink,
-    /// Events held back instead of emitted while a worker thread steps
-    /// this environment; `None` emits straight into `sink`.
-    held: Option<Vec<Event>>,
     /// Per-job trace context for cache/surrogate/synthesis events;
     /// disabled (one branch per emit) unless a supervisor installs one
     /// via [`MulEnv::set_trace`].
@@ -304,8 +301,9 @@ impl MulEnv {
     }
 
     /// Builds the environment on top of a shared evaluation cache, so
-    /// parallel workers (and sequential method comparisons over the
-    /// same design) never synthesize the same state twice.
+    /// environments sharing it (A2C's instances, concurrent serve
+    /// jobs, sequential method comparisons over the same design) never
+    /// synthesize the same state twice.
     ///
     /// # Errors
     ///
@@ -355,7 +353,6 @@ impl MulEnv {
             steps_taken: 0,
             stats: EnvStats::default(),
             sink: TelemetrySink::disabled(),
-            held: None,
             trace: TraceCtx::disabled(),
             surrogate: None,
             scratch_mask: Vec::new(),
@@ -416,28 +413,6 @@ impl MulEnv {
     /// synthesis timings on every cache miss) into `sink`.
     pub fn set_telemetry(&mut self, sink: TelemetrySink) {
         self.sink = sink;
-    }
-
-    /// Holds this environment's telemetry events in a buffer (`true`)
-    /// or emits them directly (`false`, the default). A pool of worker
-    /// threads holds them and flushes each environment's events in
-    /// environment order after every parallel step, so a seeded log
-    /// does not depend on thread scheduling.
-    pub(crate) fn hold_telemetry(&mut self, hold: bool) {
-        self.held = hold.then(Vec::new);
-    }
-
-    /// The events held since the last call (empty when not holding).
-    pub(crate) fn take_held_telemetry(&mut self) -> Vec<Event> {
-        self.held.as_mut().map(std::mem::take).unwrap_or_default()
-    }
-
-    fn emit_telemetry(&mut self, event: Event) {
-        match &mut self.held {
-            Some(held) => held.push(event),
-            // check: allow(trace-ctx) forwards the telemetry-only events justified at each call site
-            None => self.sink.emit(event),
-        }
     }
 
     /// Routes this environment's per-job trace events (cache hits and
@@ -651,11 +626,11 @@ impl MulEnv {
         Ok(StepOutcome { reward, cost: evaluation.cost, evaluation })
     }
 
-    /// Synthesizes `tree` under every delay target. The targets fan
-    /// out over scoped threads inside the synthesizer, and results
-    /// are cached by `(structure, kind, context)` in the shared
-    /// [`EvalCache`] — a state synthesized by any worker sharing the
-    /// cache is a hit here.
+    /// Synthesizes `tree` under every delay target, all targets along
+    /// one shared sizing trajectory, and caches the results by
+    /// `(structure, kind, context)` in the shared [`EvalCache`] — a
+    /// state synthesized by any environment sharing the cache is a
+    /// hit here.
     ///
     /// # Errors
     ///
@@ -688,10 +663,11 @@ impl MulEnv {
     /// prediction-error probe was recorded.
     ///
     /// Ingestion is keyed on this environment's own evaluate stream
-    /// (not on who synthesized the entry), so parallel workers
-    /// sharing one cache train their surrogates deterministically:
-    /// whether a sibling won the in-flight race changes hit/miss
-    /// counters, never the bit-identical evaluation ingested here.
+    /// (not on who synthesized the entry), so environments sharing
+    /// one cache (concurrent serve jobs among them) train their
+    /// surrogates deterministically: whether a sibling won the
+    /// in-flight race changes hit/miss counters, never the
+    /// bit-identical evaluation ingested here.
     fn surrogate_ingest(&mut self, tree: &CompressorTree, eval: &Evaluation) {
         let Some(mut s) = self.surrogate.take() else { return };
         s.note_real();
@@ -713,7 +689,7 @@ impl MulEnv {
                             .with(format!("area_mae_{i}").as_str(), a)
                             .with(format!("delay_mae_{i}").as_str(), d);
                     }
-                    self.emit_telemetry(ev);
+                    self.sink.emit(ev); // check: allow(trace-ctx) the MAE aggregate above
                 }
             }
             self.scratch_dense = dense;
@@ -984,7 +960,7 @@ impl MulEnv {
     /// [`MulEnv::evaluate`] and the anchor run in
     /// [`MulEnv::with_cache`]. Returns the evaluation and whether this
     /// environment synthesized it (`false` for cache hits, including
-    /// waits on another worker's in-flight run).
+    /// waits on another environment's in-flight run).
     ///
     /// Once the incremental pipeline exists (and the tree has the
     /// profile it was built for), the miss path re-elaborates only the
@@ -1129,18 +1105,13 @@ impl MulEnv {
                     }
                 }
                 if self.sink.is_enabled() {
-                    // Phase timings mirror the trace-correlated
-                    // cache_miss/synth events emitted above, so the
-                    // telemetry-only lines below are escape-justified.
-                    // check: allow(wall-clock) telemetry phase events, not state
-                    let phase = |name: &str, from: Instant, to: Instant| {
-                        Event::new("phase") // check: allow(trace-ctx) mirrors trace above
-                            .with("name", name)
-                            .with("secs", (to - from).as_secs_f64())
-                    };
-                    self.emit_telemetry(phase("elaborate", t0, t1));
-                    self.emit_telemetry(phase("lint", t1, t2));
-                    self.emit_telemetry(phase("synth", t2, t3));
+                    for (name, from, to) in
+                        [("elaborate", t0, t1), ("lint", t1, t2), ("synth", t2, t3)]
+                    {
+                        let secs = (to - from).as_secs_f64();
+                        // check: allow(trace-ctx) mirrors the cache_miss/synth trace events above
+                        self.sink.emit(Event::new("phase").with("name", name).with("secs", secs));
+                    }
                 }
                 let cost = self.config.weights.cost(&reports);
                 let eval = Arc::new(Evaluation { reports, cost });

@@ -13,8 +13,9 @@
 //!   (Eqs. 9–10, reduced per Section IV-B);
 //! * two agents — native RL-MUL, a DQN with replay buffer and ε-greedy
 //!   masked action selection (Algorithm 3, [`train_dqn`]); and
-//!   RL-MUL-E, a synchronous parallel A2C with a shared residual trunk
-//!   and k-step returns (Algorithm 4, [`train_a2c`]);
+//!   RL-MUL-E, a synchronous A2C whose environments step in lockstep
+//!   under one shared residual trunk, with k-step returns
+//!   (Algorithm 4, [`train_a2c`]);
 //! * the simulated-annealing baseline on the identical cost
 //!   ([`run_sa`]).
 //!

@@ -30,7 +30,7 @@
 //! * [`obs`] — live observability: sharded metrics registry, span
 //!   tracing, Prometheus `/metrics` endpoint and flamegraph export;
 //! * [`core`] — the RL-MUL framework itself: environment,
-//!   Pareto-driven reward, DQN (native RL-MUL) and parallel A2C
+//!   Pareto-driven reward, DQN (native RL-MUL) and synchronous A2C
 //!   (RL-MUL-E) agents, with crash-safe checkpoint/resume
 //!   (`core::TrainHooks`, `core::resume_dqn`, `core::resume_a2c`).
 //!

@@ -1,6 +1,7 @@
 //! Runs the real `rlmul` binary: help output and rejected options that
-//! have no side effects, and seeded A2C telemetry logs that repeat line
-//! by line.
+//! have no side effects, seeded A2C telemetry logs that repeat line by
+//! line, and A2C profiles whose environment steps nest under the
+//! training step.
 
 use rlmul::obs::json::{parse_object, JsonValue};
 use std::path::{Path, PathBuf};
@@ -158,6 +159,27 @@ fn seeded_a2c_telemetry_repeats_line_by_line() {
     assert!(a.iter().any(|l| l.contains(r#""ev":"phase""#)), "no worker phase events logged");
     for (n, (x, y)) in a.iter().zip(&b).enumerate() {
         assert_eq!(untimed(x), untimed(y), "line {} differs:\n{x}\n{y}", n + 1);
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn a2c_profile_nests_env_steps_under_the_training_step() {
+    let dir = scratch_dir("profile");
+    let args = ["profile", "--method", "a2c", "--bits", "4", "--steps", "8"];
+    let (ok, stdout, stderr) = run(&dir, &args, 120);
+    assert!(ok, "a2c profile failed: {stderr}");
+    // Collapsed stacks: one `a;b;c <µs>` line per span path.
+    let paths: Vec<&str> =
+        stdout.lines().filter_map(|l| l.rsplit_once(' ').map(|(path, _)| path)).collect();
+    let env_steps: Vec<&str> =
+        paths.iter().copied().filter(|p| p.split(';').any(|s| s == "env.step")).collect();
+    assert!(!env_steps.is_empty(), "no env.step span recorded:\n{stdout}");
+    for path in env_steps {
+        assert!(
+            path.starts_with("train.a2c;a2c.step;env.step"),
+            "env.step outside the training step: `{path}`"
+        );
     }
     let _ = std::fs::remove_dir_all(&dir);
 }
