@@ -130,7 +130,7 @@ fn run_interleaved(
     // Prime the session: the first run is necessarily a full one (it
     // builds the connectivity table and STA baseline the later steps
     // patch). Steady-state step cost is what the loop below measures.
-    session.run_many(mul.netlist(), options).expect("synthesizes");
+    session.run_connected(mul.connected(), options).expect("synthesizes");
     let (mut full, mut inc) = (PathLog::default(), PathLog::default());
     for tree in states {
         full.step(|| {
@@ -155,10 +155,10 @@ fn run_interleaved(
             }
             let report = {
                 let _l = obs.span("bench.lint_delta");
-                lint_delta(mul.arena(), mul.last_delta())
+                lint_delta(&mul.connected(), mul.last_delta())
             };
             assert_eq!(report.errors(), 0, "delta lint gate: {}", report.render());
-            session.run_many(mul.netlist(), options).expect("synthesizes")
+            session.run_connected(mul.connected(), options).expect("synthesizes")
         });
     }
     (full, inc)

@@ -268,9 +268,9 @@ impl EnvSnapshot {
 }
 
 /// Long-lived state of the incremental miss path: the cached
-/// elaboration (with per-column checkpoints and the arena mirror) and
-/// the synthesis session (with the previous mapped connectivity and
-/// STA baseline).
+/// elaboration (with per-column checkpoints and the connectivity table
+/// lint and synthesis read) and the synthesis session (with the
+/// previous loads and STA baseline).
 struct IncPipeline {
     mul: IncrementalMultiplier,
     synth: IncrementalSynthesis,
@@ -964,9 +964,10 @@ impl MulEnv {
     ///
     /// Once the incremental pipeline exists (and the tree has the
     /// profile it was built for), the miss path re-elaborates only the
-    /// changed columns, lints only the delta, and patches the previous
-    /// mapped connectivity and STA baseline instead of rebuilding
-    /// them; otherwise the miss runs the full pipeline. The cache
+    /// changed columns, lints only the delta from the connectivity
+    /// table the elaborator keeps, and hands synthesis that same table
+    /// to patch the previous loads and STA baseline instead of
+    /// rebuilding them; otherwise the miss runs the full pipeline. The cache
     /// lookup itself probes with a borrowed key, so hits never
     /// allocate.
     fn synthesize_cached(
@@ -1000,16 +1001,17 @@ impl MulEnv {
                 let t0 = Instant::now();
                 let (t1, t2, reports) = match inc {
                     Some(state) => {
-                        let delta_size = {
+                        let replayed = {
                             let _s = obs.span("elaborate");
-                            state.mul.retarget(tree)?.size()
+                            state.mul.retarget(tree)?.added.len()
                         };
                         if obs.is_enabled() {
                             obs.histogram(
                                 "rlmul_env_splice_gates",
-                                "Gates touched per incremental retarget (delta size).",
+                                "Gates per incremental retarget in the replayed netlist suffix \
+                                 (from the first changed gate on).",
                             )
-                            .observe(delta_size as f64);
+                            .observe(replayed as f64);
                         }
                         // check: allow(wall-clock) phase timing stats only
                         let t1 = Instant::now();
@@ -1019,7 +1021,7 @@ impl MulEnv {
                         // still re-run in full; they are O(ports)).
                         let lint_report = {
                             let _s = obs.span("lint");
-                            rlmul_rtl::lint_delta(state.mul.arena(), state.mul.last_delta())
+                            rlmul_rtl::lint_delta(&state.mul.connected(), state.mul.last_delta())
                         };
                         self.stats.lint.record(&lint_report);
                         debug_assert_eq!(
@@ -1032,7 +1034,7 @@ impl MulEnv {
                         let t2 = Instant::now();
                         let reports = {
                             let _s = obs.span("synth");
-                            state.synth.run_many(state.mul.netlist(), options)?
+                            state.synth.run_connected(state.mul.connected(), options)?
                         };
                         (t1, t2, reports)
                     }

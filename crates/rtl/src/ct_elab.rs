@@ -29,8 +29,8 @@ pub struct CtRows {
 ///
 /// A snapshot of the carries (plus a [`crate::BuilderCheckpoint`])
 /// taken at the top of column `j` is everything needed to re-run
-/// elaboration from column `j` onward — the basis of the incremental
-/// splice in [`crate::IncrementalMultiplier`], which keeps one state
+/// elaboration from column `j` onward — the basis of the suffix
+/// replay in [`crate::IncrementalMultiplier`], which keeps one state
 /// across calls so the work lists below keep their allocations.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct CtState {

@@ -13,19 +13,25 @@
 //!
 //! The swept netlist is updated in place: only the replayed gates are
 //! swept, and their live ones overwrite the old suffix from the swept
-//! position each checkpoint records. Each retarget also maintains an
-//! [`ArenaNetlist`] mirror via [`ArenaNetlist::splice_suffix`] and
-//! exposes the resulting [`NetlistDelta`], which incremental
-//! lint/map/size/STA consume. Work and allocations per retarget are
-//! proportional to the replayed suffix.
+//! position each checkpoint records. Each retarget also refills the
+//! netlist's [`NetConn`] connectivity table in place and records the
+//! [`NetlistDelta`] from the old to the new swept suffix, which the
+//! delta lint and incremental synthesis consume. Apart from the table
+//! refill, work and allocations per retarget are proportional to the
+//! replayed suffix. An [`ArenaNetlist`] mirror is built only on
+//! request ([`IncrementalMultiplier::arena`]).
 
 use crate::adder::{add, AdderKind};
 use crate::arena::{ArenaNetlist, NetlistDelta};
+use crate::conn::{Connected, NetConn};
 use crate::ct_elab::{elaborate_ct_span, CtState};
-use crate::netlist::{BuilderCheckpoint, NetId, Netlist, NetlistBuilder, SuffixSweep};
-use crate::ppg::{and_ppg, mbe_ppg, merge_mac_addend};
+use crate::mul::partial_products;
+use crate::netlist::{
+    clone_ports_from, BuilderCheckpoint, Gate, NetId, Netlist, NetlistBuilder, Port, SuffixSweep,
+};
 use crate::RtlError;
-use rlmul_ct::{CompressorTree, PpgKind};
+use rlmul_ct::CompressorTree;
+use std::sync::OnceLock;
 
 /// Resume point at the top of one compressor-tree column.
 #[derive(Debug, Clone)]
@@ -68,8 +74,15 @@ pub struct IncrementalMultiplier {
     state: CtState,
     netlist: Netlist,
     sweep: SuffixSweep,
-    arena: ArenaNetlist,
-    last_delta: NetlistDelta,
+    /// Connectivity of `netlist`, with the delta of the last retarget.
+    conn: NetConn,
+    /// The old swept gates and output ports a retarget overwrites,
+    /// kept for the delta (buffers reused across retargets).
+    old_gates: Vec<Gate>,
+    old_outputs: Vec<Port>,
+    /// Arena mirror of `netlist`, built on the first request after a
+    /// retarget.
+    arena: OnceLock<ArenaNetlist>,
 }
 
 impl IncrementalMultiplier {
@@ -91,20 +104,7 @@ impl IncrementalMultiplier {
     ///
     /// Same as [`IncrementalMultiplier::new`].
     pub fn with_adder(tree: &CompressorTree, cpa: AdderKind) -> Result<Self, RtlError> {
-        let bits = tree.bits();
-        let kind = tree.profile().kind();
-        let name = format!("{}{}x{}", if kind.is_mac() { "mac" } else { "mul" }, bits, bits);
-        let mut builder = NetlistBuilder::new(name);
-        let a = builder.input("a", bits);
-        let m = builder.input("b", bits);
-        let mut cols = match kind.base() {
-            PpgKind::Mbe => mbe_ppg(&mut builder, &a, &m),
-            _ => and_ppg(&mut builder, &a, &m),
-        };
-        if kind.is_mac() {
-            let c = builder.input("c", 2 * bits);
-            merge_mac_addend(&mut cols, &c);
-        }
+        let (mut builder, cols) = partial_products(tree);
         let mut checkpoints = Vec::with_capacity(cols.len());
         let mut state = CtState::default();
         elaborate_ct_span(&mut builder, tree, &cols, &mut state, 0, |j, b, carry| {
@@ -122,7 +122,7 @@ impl IncrementalMultiplier {
         for ck in &mut checkpoints {
             ck.swept = sweep.swept_before(&ck.builder);
         }
-        let arena = ArenaNetlist::from_netlist(&netlist);
+        let conn = NetConn::build(&netlist);
         Ok(IncrementalMultiplier {
             tree: tree.clone(),
             cpa,
@@ -132,14 +132,16 @@ impl IncrementalMultiplier {
             state,
             netlist,
             sweep,
-            arena,
-            last_delta: NetlistDelta::default(),
+            conn,
+            old_gates: Vec::new(),
+            old_outputs: Vec::new(),
+            arena: OnceLock::new(),
         })
     }
 
     /// Re-elaborates toward `tree`, replaying only the columns from
-    /// the first changed one upward, and splices the arena mirror.
-    /// Returns the delta of the *swept* netlist; its shared gate
+    /// the first changed one upward, and updates the connectivity
+    /// table. Returns the delta of the *swept* netlist; its shared gate
     /// prefix is the longest one the old and new netlists have in
     /// common, found by direct comparison of the swept suffixes.
     ///
@@ -165,8 +167,9 @@ impl IncrementalMultiplier {
             // Same per-column counts ⇒ identical deterministic
             // elaboration; nothing to do.
             self.tree.clone_from(tree);
-            self.last_delta.clear();
-            return Ok(&self.last_delta);
+            let gates = self.netlist.gates().len();
+            self.conn.update(&self.netlist, gates, &[], self.netlist.outputs());
+            return Ok(self.conn.delta());
         };
 
         let obs = rlmul_obs::global();
@@ -196,34 +199,42 @@ impl IncrementalMultiplier {
         }
         // Sweep only the replayed gates into the kept netlist; when the
         // replay changes which earlier nets stay read, sweep it all.
-        let shared = {
+        // The gates and ports a sweep overwrites are kept for the delta.
+        let (shared, first_old) = {
             let _s = obs.span("rtl.retarget_sweep");
             let ck = &self.checkpoints[j_min];
+            self.old_gates.clear();
+            self.old_gates.extend_from_slice(&self.netlist.gates()[ck.swept..]);
+            clone_ports_from(&mut self.old_outputs, self.netlist.outputs());
             let resumed = self.builder.sweep_suffix_into(
                 Some(&ck.builder),
                 ck.swept,
                 &mut self.netlist,
                 &mut self.sweep,
             );
-            let (first, shared) = match resumed {
-                Some(shared) => (j_min, shared),
+            let (first, first_old, shared) = match resumed {
+                Some(shared) => (j_min, ck.swept, shared),
                 None => {
+                    // A failed resume leaves the netlist untouched.
+                    self.old_gates.splice(0..0, self.netlist.gates()[..ck.swept].iter().copied());
                     let shared = self
                         .builder
                         .sweep_suffix_into(None, 0, &mut self.netlist, &mut self.sweep)
                         .expect("a sweep from the first gate always succeeds");
-                    (0, shared)
+                    (0, 0, shared)
                 }
             };
             for ck in &mut self.checkpoints[first..] {
                 ck.swept = self.sweep.swept_before(&ck.builder);
             }
-            shared
+            (shared, first_old)
         };
         {
-            let _s = obs.span("rtl.retarget_splice");
-            self.arena.splice_suffix(&self.netlist, shared, &mut self.last_delta);
+            let _s = obs.span("rtl.retarget_conn");
+            let old_suffix = &self.old_gates[shared - first_old..];
+            self.conn.update(&self.netlist, shared, old_suffix, &self.old_outputs);
         }
+        self.arena = OnceLock::new();
         self.tree.clone_from(tree);
 
         #[cfg(debug_assertions)]
@@ -231,9 +242,8 @@ impl IncrementalMultiplier {
             let fresh =
                 crate::mul::MultiplierNetlist::elaborate_with_adder(tree, self.cpa)?.into_netlist();
             debug_assert_eq!(self.netlist, fresh, "incremental replay diverged from scratch build");
-            debug_assert!(self.arena.matches_netlist(&self.netlist));
         }
-        Ok(&self.last_delta)
+        Ok(self.conn.delta())
     }
 
     /// The current swept netlist (equal to a from-scratch build).
@@ -241,9 +251,21 @@ impl IncrementalMultiplier {
         &self.netlist
     }
 
-    /// The arena mirror with fanout/driver/level side-structures.
+    /// The connectivity table of [`IncrementalMultiplier::netlist`].
+    pub fn conn(&self) -> &NetConn {
+        &self.conn
+    }
+
+    /// The netlist with its connectivity table, as the delta lint and
+    /// incremental synthesis read it.
+    pub fn connected(&self) -> Connected<'_> {
+        Connected::new(&self.netlist, &self.conn)
+    }
+
+    /// An arena mirror of the netlist with fanout/driver/level
+    /// side-structures, built on the first call after a retarget.
     pub fn arena(&self) -> &ArenaNetlist {
-        &self.arena
+        self.arena.get_or_init(|| ArenaNetlist::from_netlist(&self.netlist))
     }
 
     /// The compressor tree the netlist currently realizes.
@@ -254,7 +276,7 @@ impl IncrementalMultiplier {
     /// Delta produced by the most recent [`IncrementalMultiplier::retarget`]
     /// (empty before the first retarget or when the tree was unchanged).
     pub fn last_delta(&self) -> &NetlistDelta {
-        &self.last_delta
+        self.conn.delta()
     }
 }
 
@@ -262,6 +284,7 @@ impl IncrementalMultiplier {
 mod tests {
     use super::*;
     use crate::mul::MultiplierNetlist;
+    use rlmul_ct::PpgKind;
 
     fn walk(tree: &CompressorTree, steps: usize, seed: &mut u64) -> Vec<CompressorTree> {
         let mut out = Vec::new();
@@ -292,6 +315,8 @@ mod tests {
                 let fresh = MultiplierNetlist::elaborate(&next).unwrap().into_netlist();
                 assert_eq!(*inc.netlist(), fresh, "{kind}");
                 assert!(inc.arena().matches_netlist(&fresh));
+                let lint = crate::lint_delta(&inc.connected(), inc.last_delta());
+                assert_eq!(lint.errors(), 0, "{kind}: {}", lint.render());
             }
         }
     }
@@ -315,7 +340,7 @@ mod tests {
     #[test]
     fn deltas_are_local_for_msb_actions() {
         // An action near the MSB should leave most of the netlist
-        // untouched: the whole point of the splice.
+        // untouched: the whole point of the suffix replay.
         let tree = CompressorTree::wallace(16, PpgKind::And).unwrap();
         let mut inc = IncrementalMultiplier::new(&tree).unwrap();
         let total = inc.netlist().gates().len();

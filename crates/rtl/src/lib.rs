@@ -27,6 +27,7 @@
 
 mod adder;
 mod arena;
+mod conn;
 mod ct_elab;
 mod error;
 mod inc;
@@ -43,10 +44,11 @@ mod verilog_in;
 
 pub use adder::{add, AdderKind};
 pub use arena::{ArenaNetlist, NetlistDelta};
+pub use conn::{Connected, NetConn};
 pub use ct_elab::{elaborate_ct, CtRows};
 pub use error::RtlError;
 pub use inc::IncrementalMultiplier;
-pub use lint::{lint, lint_delta, LintIssue, LintReport, LintRule, LintStats, Severity};
+pub use lint::{lint, lint_delta, LintIssue, LintReport, LintRule, LintStats, NetGraph, Severity};
 pub use mul::MultiplierNetlist;
 pub use netlist::{
     shared_gate_prefix, BuilderCheckpoint, DffHandle, Gate, GateKind, GateStats, NetId, Netlist,

@@ -17,7 +17,8 @@
 //! from discarded top-column carries in modular arithmetic).
 
 use crate::arena::{ArenaNetlist, NetlistDelta};
-use crate::netlist::{Netlist, CONST0, CONST1};
+use crate::conn::Connected;
+use crate::netlist::{Gate, NetId, Netlist, Port, CONST0, CONST1};
 use std::collections::BTreeMap;
 use std::fmt;
 
@@ -255,51 +256,13 @@ impl LintStats {
 pub fn lint(netlist: &Netlist) -> LintReport {
     let mut report = LintReport::default();
     let n = netlist.num_nets() as usize;
-    let in_range = |net: crate::NetId| (net.0 as usize) < n;
+    let in_range = |net: NetId| (net.0 as usize) < n;
 
-    // --- Port shape rules -------------------------------------------------
-    let mut names: BTreeMap<&str, usize> = BTreeMap::new();
-    for (dir, ports) in [("input", netlist.inputs()), ("output", netlist.outputs())] {
-        for p in ports {
-            *names.entry(p.name.as_str()).or_insert(0) += 1;
-            if p.bits.is_empty() {
-                report.push(LintRule::PortWidth, format!("{dir} port {} has width 0", p.name));
-            }
-            for (k, &b) in p.bits.iter().enumerate() {
-                if !in_range(b) {
-                    report.push(
-                        LintRule::PortWidth,
-                        format!("{dir} port {}[{k}] references net {} ≥ {n}", p.name, b.0),
-                    );
-                }
-            }
-        }
-    }
-    for (name, count) in &names {
-        if *count > 1 {
-            report.push(
-                LintRule::DuplicateName,
-                format!("port name `{name}` declared {count} times"),
-            );
-        }
-    }
-    if netlist.is_sequential() && names.contains_key("clk") {
-        report.push(
-            LintRule::DuplicateName,
-            "port `clk` collides with the implicit clock of a sequential design".to_owned(),
-        );
-    }
+    port_rules(netlist.inputs(), netlist.outputs(), n, || netlist.is_sequential(), &mut report);
     // Out-of-range gate pins are counted under PortWidth's malformed-
     // reference umbrella and excluded from the driver analysis below.
     for (i, g) in netlist.gates().iter().enumerate() {
-        for &pin in g.inputs().iter().chain(g.outputs()) {
-            if !in_range(pin) {
-                report.push(
-                    LintRule::PortWidth,
-                    format!("gate {i} ({:?}) references net {} ≥ {n}", g.kind, pin.0),
-                );
-            }
-        }
+        pin_rule(i, g, n, &mut report);
     }
 
     // --- Driver / reader analysis ----------------------------------------
@@ -361,17 +324,7 @@ pub fn lint(netlist: &Netlist) -> LintReport {
 
     // --- Combinational cycles (iterative Tarjan SCC) ----------------------
     for scc in combinational_sccs(netlist, &driver_gate) {
-        let preview: Vec<String> = scc.iter().take(8).map(|g| g.to_string()).collect();
-        report.push(
-            LintRule::CombinationalLoop,
-            format!(
-                "combinational loop through {} gate{}: {}{}",
-                scc.len(),
-                if scc.len() == 1 { "" } else { "s" },
-                preview.join(" → "),
-                if scc.len() > 8 { " → …" } else { "" }
-            ),
-        );
+        loop_rule(&scc, &mut report);
     }
 
     // Deterministic ordering: catalogue order, then discovery order.
@@ -388,38 +341,25 @@ pub fn lint(netlist: &Netlist) -> LintReport {
     report
 }
 
-/// Incremental lint: re-checks only the region an arena edit touched.
-///
-/// Port-shape rules are always re-run (they are O(ports), trivially
-/// cheap); everything else — driver multiplicity, undriven reads,
-/// dangling outputs, pin ranges, combinational loops — is evaluated
-/// only for `delta.touched_nets` and `delta.added` gates, using the
-/// arena's persistent fanout/driver tables instead of the O(circuit)
-/// scan of [`lint`].
-///
-/// **Contract.** Starting from a netlist whose full lint is clean of
-/// findings *outside* the delta region, `lint_delta` reports exactly
-/// the findings a full pass over the edited netlist would attribute
-/// to the touched nets and gates (messages use arena slot indices,
-/// which coincide with netlist gate indices for splice-maintained
-/// arenas). Pre-existing findings in untouched regions are *not*
-/// re-reported — that is the point. The defect-factory tests in
-/// [`crate::mutate`] pin this equivalence for the whole catalogue.
-pub fn lint_delta(arena: &ArenaNetlist, delta: &NetlistDelta) -> LintReport {
-    let mut report = LintReport::default();
-    let n = arena.num_nets() as usize;
-    let in_range = |net: crate::NetId| (net.0 as usize) < n;
-
-    // --- Port shape rules (always re-run; O(ports)) -----------------------
+/// Port-shape rules over the two port lists of a design with `n` nets.
+/// `is_sequential` is asked only when a port is named `clk`, so
+/// combinational designs never pay its gate scan.
+fn port_rules(
+    inputs: &[Port],
+    outputs: &[Port],
+    n: usize,
+    is_sequential: impl FnOnce() -> bool,
+    report: &mut LintReport,
+) {
     let mut names: BTreeMap<&str, usize> = BTreeMap::new();
-    for (dir, ports) in [("input", arena.inputs()), ("output", arena.outputs())] {
+    for (dir, ports) in [("input", inputs), ("output", outputs)] {
         for p in ports {
             *names.entry(p.name.as_str()).or_insert(0) += 1;
             if p.bits.is_empty() {
                 report.push(LintRule::PortWidth, format!("{dir} port {} has width 0", p.name));
             }
             for (k, &b) in p.bits.iter().enumerate() {
-                if !in_range(b) {
+                if b.0 as usize >= n {
                     report.push(
                         LintRule::PortWidth,
                         format!("{dir} port {}[{k}] references net {} ≥ {n}", p.name, b.0),
@@ -436,26 +376,176 @@ pub fn lint_delta(arena: &ArenaNetlist, delta: &NetlistDelta) -> LintReport {
             );
         }
     }
-    // (Gate scan short-circuited behind the name check: combinational
-    // designs never pay it.)
-    if names.contains_key("clk") && arena.iter_live().any(|(_, g)| g.kind.is_sequential()) {
+    if names.contains_key("clk") && is_sequential() {
         report.push(
             LintRule::DuplicateName,
             "port `clk` collides with the implicit clock of a sequential design".to_owned(),
         );
     }
+}
+
+/// Flags every pin of gate `slot` naming a net at or above `n`.
+fn pin_rule(slot: usize, g: &Gate, n: usize, report: &mut LintReport) {
+    // Every pin slot in range, unused ones included, rules out a
+    // finding without looking up the kind's pin counts.
+    if g.ins.iter().chain(&g.outs).all(|pin| (pin.0 as usize) < n) {
+        return;
+    }
+    for &pin in g.inputs().iter().chain(g.outputs()) {
+        if pin.0 as usize >= n {
+            report.push(
+                LintRule::PortWidth,
+                format!("gate {slot} ({:?}) references net {} ≥ {n}", g.kind, pin.0),
+            );
+        }
+    }
+}
+
+/// Reports one combinational loop through the gates of `scc`.
+fn loop_rule(scc: &[usize], report: &mut LintReport) {
+    let preview: Vec<String> = scc.iter().take(8).map(|g| g.to_string()).collect();
+    report.push(
+        LintRule::CombinationalLoop,
+        format!(
+            "combinational loop through {} gate{}: {}{}",
+            scc.len(),
+            if scc.len() == 1 { "" } else { "s" },
+            preview.join(" → "),
+            if scc.len() > 8 { " → …" } else { "" }
+        ),
+    );
+}
+
+/// What [`lint_delta`] reads of an edited netlist: its ports, its
+/// gates by slot, and per-net connectivity. [`ArenaNetlist`] provides
+/// it for general graph surgery, [`Connected`] (a netlist with its
+/// [`NetConn`](crate::NetConn)) for the incremental elaborator.
+pub trait NetGraph {
+    /// Total number of nets including the two constants.
+    fn num_nets(&self) -> u32;
+    /// Primary input ports.
+    fn inputs(&self) -> &[Port];
+    /// Primary output ports.
+    fn outputs(&self) -> &[Port];
+    /// Upper bound of the gate slots.
+    fn num_slots(&self) -> usize;
+    /// The gate in `slot`, if the slot holds one.
+    fn gate(&self, slot: u32) -> Option<&Gate>;
+    /// Whether any gate is sequential.
+    fn is_sequential(&self) -> bool {
+        (0..self.num_slots() as u32).filter_map(|s| self.gate(s)).any(|g| g.kind.is_sequential())
+    }
+    /// Gate output pins and input-port bits driving `net`.
+    fn drivers(&self, net: NetId) -> usize;
+    /// Slot of a gate driving `net`; exact when one gate drives it.
+    fn driver_of(&self, net: NetId) -> Option<u32>;
+    /// Gate sinks of `net` as `(slot, input pin)` pairs.
+    fn sinks(&self, net: NetId) -> &[(u32, u8)];
+    /// Number of output-port bits reading `net`.
+    fn po_reads(&self, net: NetId) -> usize;
+    /// Whether the structure alone proves the combinational graph
+    /// acyclic, so that cycle search can be skipped.
+    fn certifies_acyclic(&self) -> bool;
+}
+
+impl NetGraph for ArenaNetlist {
+    fn num_nets(&self) -> u32 {
+        self.num_nets()
+    }
+    fn inputs(&self) -> &[Port] {
+        self.inputs()
+    }
+    fn outputs(&self) -> &[Port] {
+        self.outputs()
+    }
+    fn num_slots(&self) -> usize {
+        self.num_slots()
+    }
+    fn gate(&self, slot: u32) -> Option<&Gate> {
+        self.gate(slot)
+    }
+    fn drivers(&self, net: NetId) -> usize {
+        self.driver_count(net) + usize::from(self.is_primary_input(net))
+    }
+    fn driver_of(&self, net: NetId) -> Option<u32> {
+        self.driver_of(net)
+    }
+    fn sinks(&self, net: NetId) -> &[(u32, u8)] {
+        self.fanout_of(net)
+    }
+    fn po_reads(&self, net: NetId) -> usize {
+        self.po_reads(net)
+    }
+    /// Every recorded combinational edge runs forward in slot order.
+    fn certifies_acyclic(&self) -> bool {
+        self.is_topo_ordered()
+    }
+}
+
+impl NetGraph for Connected<'_> {
+    fn num_nets(&self) -> u32 {
+        self.netlist().num_nets()
+    }
+    fn inputs(&self) -> &[Port] {
+        self.netlist().inputs()
+    }
+    fn outputs(&self) -> &[Port] {
+        self.netlist().outputs()
+    }
+    fn num_slots(&self) -> usize {
+        self.netlist().gates().len()
+    }
+    fn gate(&self, slot: u32) -> Option<&Gate> {
+        self.netlist().gates().get(slot as usize)
+    }
+    fn drivers(&self, net: NetId) -> usize {
+        self.conn().drivers(net)
+    }
+    fn driver_of(&self, net: NetId) -> Option<u32> {
+        self.conn().driver_of(net)
+    }
+    fn sinks(&self, net: NetId) -> &[(u32, u8)] {
+        self.conn().sinks(net)
+    }
+    fn po_reads(&self, net: NetId) -> usize {
+        usize::from(self.conn().po_fanout(net))
+    }
+    /// Net ids rise along every combinational path.
+    fn certifies_acyclic(&self) -> bool {
+        self.conn().is_ordered()
+    }
+}
+
+/// Incremental lint: re-checks only the region an edit touched.
+///
+/// Port-shape rules are always re-run (they are O(ports), trivially
+/// cheap); everything else — driver multiplicity, undriven reads,
+/// dangling outputs, pin ranges, combinational loops — is evaluated
+/// only for `delta.touched_nets` and `delta.added` gates, using the
+/// graph's per-net driver and sink tables instead of the O(circuit)
+/// scan of [`lint`].
+///
+/// **Contract.** Starting from a netlist whose full lint is clean of
+/// findings *outside* the delta region, `lint_delta` reports exactly
+/// the findings a full pass over the edited netlist would attribute
+/// to the touched nets and gates (messages use slot indices, which
+/// coincide with netlist gate indices for a [`Connected`] netlist and
+/// for an arena without free slots). Pre-existing findings in
+/// untouched regions are *not* re-reported — that is the point. The
+/// defect-factory tests in [`crate::mutate`] pin this equivalence for
+/// the whole catalogue.
+pub fn lint_delta(graph: &impl NetGraph, delta: &NetlistDelta) -> LintReport {
+    let mut report = LintReport::default();
+    let n = graph.num_nets() as usize;
+    let in_range = |net: NetId| (net.0 as usize) < n;
+
+    // --- Port shape rules (always re-run; O(ports)) -----------------------
+    port_rules(graph.inputs(), graph.outputs(), n, || graph.is_sequential(), &mut report);
 
     // --- Pin ranges for the added gates only ------------------------------
     for &slot in &delta.added {
-        if let Some(g) = arena.gate(slot) {
-            for &pin in g.inputs().iter().chain(g.outputs()) {
-                if !in_range(pin) {
-                    report.push(
-                        LintRule::PortWidth,
-                        format!("gate {slot} ({:?}) references net {} ≥ {n}", g.kind, pin.0),
-                    );
-                }
-            }
+        if let Some(g) = graph.gate(slot) {
+            pin_rule(slot as usize, g, n, &mut report);
         }
     }
 
@@ -464,8 +554,8 @@ pub fn lint_delta(arena: &ArenaNetlist, delta: &NetlistDelta) -> LintReport {
         if !in_range(net) || net.is_const() {
             continue;
         }
-        let drivers = arena.driver_count(net) + usize::from(arena.is_primary_input(net));
-        let readers = arena.fanout_of(net).len() + arena.po_reads(net);
+        let drivers = graph.drivers(net);
+        let readers = graph.sinks(net).len() + graph.po_reads(net);
         if drivers > 1 {
             report.push(LintRule::MultiDriven, format!("net {} has {drivers} drivers", net.0));
         }
@@ -476,8 +566,8 @@ pub fn lint_delta(arena: &ArenaNetlist, delta: &NetlistDelta) -> LintReport {
             );
         }
         if readers == 0 && drivers == 1 {
-            if let Some(slot) = arena.driver_of(net) {
-                let g = arena.gate(slot).expect("driver table points at a live slot");
+            if let Some(slot) = graph.driver_of(net) {
+                let g = graph.gate(slot).expect("driver table points at a live slot");
                 let pin = g.outputs().iter().position(|&o| o == net).unwrap_or(0);
                 report.push(
                     LintRule::DanglingOutput,
@@ -491,36 +581,31 @@ pub fn lint_delta(arena: &ArenaNetlist, delta: &NetlistDelta) -> LintReport {
     }
 
     // --- Cycles through the edited cone -----------------------------------
-    // Suffix-splice edits keep slots in topological order, which the
-    // arena certifies in O(1) — every recorded combinational edge runs
-    // strictly forward in slot order, so the SCC search (which follows
-    // exactly those edges) cannot find a cycle and is skipped. Only
-    // general surgery that breaks the ordering pays for Tarjan: a
-    // cycle created by such an edit necessarily passes through an
-    // edited gate or a sink of a touched net, so the search seeded
-    // there finds it without walking the whole graph.
-    if !arena.is_topo_ordered() {
-        let num = arena.num_slots();
+    // The graph certifies acyclicity in O(1) for the common edits —
+    // suffix replays, whose every gate reads only nets below its
+    // outputs — so the SCC search is skipped. Only an edit that breaks
+    // the certificate pays for Tarjan: a cycle it created necessarily
+    // passes through an edited gate or a sink of a touched net, so the
+    // search seeded there finds it without walking the whole graph.
+    if !graph.certifies_acyclic() {
         let mut seeds: Vec<usize> = delta.added.iter().map(|&s| s as usize).collect();
-        for &net in &delta.touched_nets {
-            for &(s, _) in arena.fanout_of(net) {
-                seeds.push(s as usize);
-            }
+        for &net in delta.touched_nets.iter().filter(|&&net| in_range(net)) {
+            seeds.extend(graph.sinks(net).iter().map(|&(s, _)| s as usize));
         }
         seeds.sort_unstable();
         seeds.dedup();
         let succ_of = |g: usize| -> Vec<usize> {
             let mut out = Vec::new();
-            let Some(gate) = arena.gate(g as u32) else { return out };
+            let Some(gate) = graph.gate(g as u32) else { return out };
             if gate.kind.is_sequential() {
                 return out;
             }
             for &inp in gate.inputs() {
-                if inp.is_const() {
+                if inp.is_const() || !in_range(inp) {
                     continue;
                 }
-                if let Some(d) = arena.driver_of(inp) {
-                    let dg = arena.gate(d).expect("driver table points at a live slot");
+                if let Some(d) = graph.driver_of(inp) {
+                    let dg = graph.gate(d).expect("driver table points at a live slot");
                     if !dg.kind.is_sequential() {
                         out.push(d as usize);
                     }
@@ -528,18 +613,8 @@ pub fn lint_delta(arena: &ArenaNetlist, delta: &NetlistDelta) -> LintReport {
             }
             out
         };
-        for scc in sccs_from(num, seeds, succ_of) {
-            let preview: Vec<String> = scc.iter().take(8).map(|g| g.to_string()).collect();
-            report.push(
-                LintRule::CombinationalLoop,
-                format!(
-                    "combinational loop through {} gate{}: {}{}",
-                    scc.len(),
-                    if scc.len() == 1 { "" } else { "s" },
-                    preview.join(" → "),
-                    if scc.len() > 8 { " → …" } else { "" }
-                ),
-            );
+        for scc in sccs_from(graph.num_slots(), seeds, succ_of) {
+            loop_rule(&scc, &mut report);
         }
     }
 
@@ -741,5 +816,53 @@ mod tests {
         b.output("x", &[x[0]]);
         let r = lint(&b.finish());
         assert_eq!(r.render(), r.render());
+    }
+
+    /// Every rule fires on its seeded defect through the table entry
+    /// (a netlist with its [`crate::NetConn`]) with exactly the
+    /// findings of the arena entry for the same edit.
+    #[test]
+    fn every_rule_fires_through_the_table_entry() {
+        use crate::mutate::*;
+        use crate::{ArenaNetlist, NetConn};
+        let mut b = NetlistBuilder::new("adder3");
+        let x = b.input("x", 3);
+        let y = b.input("y", 3);
+        let mut carry = CONST0;
+        let mut sum = Vec::new();
+        for k in 0..3 {
+            let (s, c) = b.full_adder(x[k], y[k], carry);
+            sum.push(s);
+            carry = c;
+        }
+        sum.push(carry);
+        b.output("s", &sum);
+        let base = b.finish();
+        type Injector = fn(&mut ArenaNetlist) -> NetlistDelta;
+        let catalogue: &[Injector] = &[
+            |a| inject_duplicate_gate(a, 1),
+            |a| inject_float_input(a, 2, 0),
+            |a| inject_loop(a, 1),
+            |a| inject_cross_wire(a, 0, 1),
+            |a| inject_clear_port(a, 0),
+            |a| inject_corrupt_port_net(a, 0, 2),
+            |a| inject_rename_port_to_clash(a, 0),
+            |a| inject_drop_carry_wire(a).expect("ripple chain has carries"),
+        ];
+        let mut fired = [0; LintRule::COUNT];
+        for inject in catalogue {
+            let mut arena = ArenaNetlist::from_netlist(&base);
+            let delta = inject(&mut arena);
+            let netlist = arena.to_netlist();
+            let conn = NetConn::build(&netlist);
+            let table = lint_delta(&Connected::new(&netlist, &conn), &delta);
+            assert_eq!(table, lint_delta(&arena, &delta), "{}", table.render());
+            for rule in LintRule::ALL {
+                fired[rule.index()] += table.count(rule);
+            }
+        }
+        for rule in LintRule::ALL {
+            assert!(fired[rule.index()] > 0, "{rule} never fired through the table entry");
+        }
     }
 }

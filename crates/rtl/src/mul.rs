@@ -3,7 +3,7 @@
 use crate::adder::{add, AdderKind};
 use crate::ct_elab::elaborate_ct;
 use crate::netlist::{Netlist, NetlistBuilder};
-use crate::ppg::{and_ppg, mbe_ppg, merge_mac_addend};
+use crate::ppg::{and_ppg, mbe_ppg, merge_mac_addend, PpColumns};
 use crate::RtlError;
 use rlmul_ct::{CompressorTree, PpgKind};
 
@@ -53,25 +53,12 @@ impl MultiplierNetlist {
     ///
     /// Same as [`MultiplierNetlist::elaborate`].
     pub fn elaborate_with_adder(tree: &CompressorTree, cpa: AdderKind) -> Result<Self, RtlError> {
-        let bits = tree.bits();
-        let kind = tree.profile().kind();
-        let name = format!("{}{}x{}", if kind.is_mac() { "mac" } else { "mul" }, bits, bits);
-        let mut b = NetlistBuilder::new(name);
-        let a = b.input("a", bits);
-        let m = b.input("b", bits);
-        let mut cols = match kind.base() {
-            PpgKind::Mbe => mbe_ppg(&mut b, &a, &m),
-            _ => and_ppg(&mut b, &a, &m),
-        };
-        if kind.is_mac() {
-            let c = b.input("c", 2 * bits);
-            merge_mac_addend(&mut cols, &c);
-        }
+        let (mut b, cols) = partial_products(tree);
         let rows = elaborate_ct(&mut b, tree, cols)?;
         let p = add(&mut b, &rows.row0, &rows.row1, cpa);
         b.output("p", &p);
         let netlist = b.finish().sweep();
-        Ok(MultiplierNetlist { netlist, bits, kind })
+        Ok(MultiplierNetlist { netlist, bits: tree.bits(), kind: tree.profile().kind() })
     }
 
     /// The flattened gate-level netlist.
@@ -93,6 +80,29 @@ impl MultiplierNetlist {
     pub fn kind(&self) -> PpgKind {
         self.kind
     }
+}
+
+/// The part of `tree`'s multiplier that does not depend on the tree:
+/// a builder named after the design with its input ports declared,
+/// and the partial-product columns (the MAC addend merged in). Both
+/// [`MultiplierNetlist::elaborate_with_adder`] and the incremental
+/// elaborator start from here.
+pub(crate) fn partial_products(tree: &CompressorTree) -> (NetlistBuilder, PpColumns) {
+    let bits = tree.bits();
+    let kind = tree.profile().kind();
+    let name = format!("{}{}x{}", if kind.is_mac() { "mac" } else { "mul" }, bits, bits);
+    let mut b = NetlistBuilder::new(name);
+    let a = b.input("a", bits);
+    let m = b.input("b", bits);
+    let mut cols = match kind.base() {
+        PpgKind::Mbe => mbe_ppg(&mut b, &a, &m),
+        _ => and_ppg(&mut b, &a, &m),
+    };
+    if kind.is_mac() {
+        let c = b.input("c", 2 * bits);
+        merge_mac_addend(&mut cols, &c);
+    }
+    (b, cols)
 }
 
 #[cfg(test)]

@@ -1,8 +1,9 @@
-//! Property tests for the incremental arena-netlist pipeline: random
+//! Property tests for the incremental elaboration pipeline: random
 //! action sequences applied through [`IncrementalMultiplier`] must
 //! leave the elaboration *equal* (not just isomorphic) to a
-//! from-scratch [`MultiplierNetlist`] build, with the arena mirror in
-//! sync and the delta lint clean.
+//! from-scratch [`MultiplierNetlist`] build, with its connectivity
+//! table and delta in sync, the on-request arena mirror equal, and the
+//! delta lint clean.
 //!
 //! These run in release CI too (the incremental-equivalence job),
 //! where the debug oracles inside `retarget` are compiled out — so the
@@ -12,7 +13,6 @@ use proptest::prelude::*;
 use rlmul_ct::{CompressorTree, PpgKind};
 use rlmul_rtl::{
     lint, lint_delta, ArenaNetlist, IncrementalMultiplier, MultiplierNetlist, NetId, Netlist,
-    NetlistDelta,
 };
 use std::collections::BTreeMap;
 
@@ -66,7 +66,7 @@ fn walk_and_check(tree: &CompressorTree, picks: &[usize]) -> Result<(), TestCase
             "arena live-slot count != netlist gate count"
         );
 
-        let inc_lint = lint_delta(inc.arena(), inc.last_delta());
+        let inc_lint = lint_delta(&inc.connected(), inc.last_delta());
         prop_assert_eq!(inc_lint.errors(), 0, "delta lint: {}", inc_lint.render());
         let full_lint = lint(&fresh);
         prop_assert_eq!(full_lint.errors(), 0, "full lint: {}", full_lint.render());
@@ -175,11 +175,13 @@ fn connectivity(n: &Netlist) -> Vec<NetScan> {
 /// Simulated-annealing traffic: every proposal comes from the last
 /// accepted tree and about half are kept, so the elaborator keeps
 /// retargeting between siblings and back to trees several calls old.
-/// After every call the netlist must equal a fresh build, the arena
-/// must mirror it (tables included), its delta must equal the general
-/// splice path's, and the delta's `touched_nets` — what `lint_delta`
-/// re-checks — must cover every net whose drivers, sinks or
-/// output-port reads changed.
+/// After every call the netlist must equal a fresh build, its
+/// connectivity table must equal a naive scan (drivers, driver counts,
+/// sinks, output-port reads), the delta's `touched_nets` — what
+/// `lint_delta` re-checks and synthesis re-sums — must cover every net
+/// whose drivers, sinks or output-port reads changed, and the lint
+/// over the table must report what the lint over a fresh arena mirror
+/// reports for the same delta, message for message.
 #[test]
 #[cfg_attr(debug_assertions, ignore = "release-only: 16-bit accept/reject walk")]
 fn accept_reject_walks_match_scratch_rebuilds() {
@@ -190,14 +192,6 @@ fn accept_reject_walks_match_scratch_rebuilds() {
         };
         let mut accepted = CompressorTree::wallace(16, kind).unwrap();
         let mut inc = IncrementalMultiplier::new(&accepted).unwrap();
-        // A mirror on the general splice path (a rewire and its undo
-        // leave the gates alone but drop the net-order fast path); its
-        // deltas must equal the elaborator's.
-        let mut general = ArenaNetlist::from_netlist(inc.netlist());
-        let g = *general.gate(0).unwrap();
-        general.rewire_input(0, 0, g.ins[1]);
-        general.rewire_input(0, 0, g.ins[0]);
-        let mut general_delta = NetlistDelta::default();
         for step in 0..60 {
             let target = if step % 7 == 6 {
                 // A rejection's usual follow-up: back to the last
@@ -213,27 +207,37 @@ fn accept_reject_walks_match_scratch_rebuilds() {
             assert!(*inc.netlist() == fresh, "{kind} step {step}: diverged from a scratch build");
             assert!(inc.arena().matches_netlist(&fresh), "{kind} step {step}: arena out of sync");
 
-            // The arena's tables against the scan (slots are gate
-            // indices in a splice-only arena).
+            // The table against the scan.
             let (old, new) = (connectivity(&before), connectivity(&fresh));
-            let arena = inc.arena();
+            let pis: Vec<NetId> = fresh.inputs().iter().flat_map(|p| p.bits.clone()).collect();
+            let conn = inc.conn();
             for (net, scan) in new.iter().enumerate() {
                 let id = NetId(net as u32);
                 let sinks: Vec<(usize, usize)> =
-                    arena.fanout_of(id).iter().map(|&(s, p)| (s as usize, p as usize)).collect();
-                assert_eq!(arena.driver_count(id), scan.drivers, "{kind} step {step}: net {net}");
+                    conn.sinks(id).iter().map(|&(s, p)| (s as usize, p as usize)).collect();
+                let pi = pis.iter().filter(|&&b| b == id).count();
+                assert_eq!(conn.drivers(id), scan.drivers + pi, "{kind} step {step}: net {net}");
+                if scan.drivers == 1 {
+                    let driver = conn.driver_of(id).expect("a driven net has a driver");
+                    assert!(fresh.gates()[driver as usize].outputs().contains(&id));
+                }
                 assert_eq!(sinks, scan.sinks, "{kind} step {step}: sinks of net {net}");
-                assert_eq!(arena.po_reads(id), scan.po_reads, "{kind} step {step}: net {net}");
+                assert_eq!(
+                    usize::from(conn.po_fanout(id)),
+                    scan.po_reads,
+                    "{kind} step {step}: net {net}"
+                );
             }
+            assert!(conn.is_ordered(), "{kind} step {step}: builder netlists read lower nets");
 
             let delta = inc.last_delta();
             let shared = delta.added.first().or(delta.removed.first());
             let shared = shared.map_or(before.gates().len(), |&s| s as usize);
-            general.splice_suffix(inc.netlist(), shared, &mut general_delta);
-            assert_eq!(general_delta.removed, delta.removed, "{kind} step {step}");
-            assert_eq!(general_delta.added, delta.added, "{kind} step {step}");
-            assert_eq!(general_delta.touched_nets, delta.touched_nets, "{kind} step {step}");
-            assert_eq!(general_delta.ports_changed, delta.ports_changed, "{kind} step {step}");
+            let gate_range = |from: usize, to: usize| (from as u32..to as u32).collect::<Vec<_>>();
+            assert_eq!(delta.removed, gate_range(shared, before.gates().len()), "{kind} {step}");
+            assert_eq!(delta.added, gate_range(shared, fresh.gates().len()), "{kind} {step}");
+            assert_eq!(delta.ports_changed, before.outputs() != fresh.outputs(), "{kind} {step}");
+            assert!(before.gates()[..shared] == fresh.gates()[..shared], "{kind} {step}: prefix");
 
             let touched = &delta.touched_nets;
             assert!(touched.windows(2).all(|w| w[0] < w[1]), "touched nets sorted and unique");
@@ -247,8 +251,10 @@ fn accept_reject_walks_match_scratch_rebuilds() {
                     );
                 }
             }
-            let lint = lint_delta(inc.arena(), inc.last_delta());
+            let lint = lint_delta(&inc.connected(), delta);
             assert_eq!(lint.errors(), 0, "{kind} step {step}: {}", lint.render());
+            let oracle = lint_delta(&ArenaNetlist::from_netlist(&fresh), delta);
+            assert_eq!(lint, oracle, "{kind} step {step}: table and arena lints differ");
             if rand() % 2 == 0 {
                 accepted = target;
             }

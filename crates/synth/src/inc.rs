@@ -2,15 +2,16 @@
 //! time proportional to the edit, with results bit-identical to a
 //! from-scratch [`Synthesizer`] run.
 //!
-//! The session keeps, between calls, the per-netlist tables a
-//! from-scratch run would rebuild from zero even though most of them
-//! did not change, and patches them over the edit's gate suffix:
+//! The session reads the netlist's [`NetConn`] connectivity table —
+//! the one the incremental elaborator keeps up to date — and keeps,
+//! between calls, the per-netlist tables a from-scratch run would
+//! rebuild from zero even though most of them did not change, patching
+//! them over the edit's gate suffix:
 //!
-//! * the previous netlist and the allocations of its
-//!   [`NetConn`](crate::NetConn) connectivity tables, which every call
-//!   rebuilds in place;
 //! * the all-X1 cell binding every mapping starts from — rebound only
-//!   over the suffix gates — and the net loads under it;
+//!   over the suffix gates — and the net loads under it, re-summed
+//!   only for the nets the table's last update touched (every net when
+//!   the session did not read the state that update started from);
 //! * the all-X1 baseline arrival times — rebased through the edit's
 //!   fanout cone by [`IncrementalSta::patch_baseline`] instead of a
 //!   whole-netlist propagation pass;
@@ -27,18 +28,19 @@
 //! stateless run of every call).
 
 use crate::library::{Drive, Library};
-use crate::map::{net_loads, MappedNetlist};
+use crate::map::{net_load, MappedNetlist};
 use crate::power::propagate_probabilities;
 use crate::sta::{extend_dffs, IncrementalSta};
 use crate::synth::{check, synthesize, SynthesisOptions, SynthesisReport, Synthesizer, Tables};
 use crate::SynthError;
-use rlmul_rtl::{shared_gate_prefix, NetId, Netlist};
+use rlmul_rtl::{shared_gate_prefix, Connected, NetConn, NetId, Netlist};
 
-/// The previous call's netlist and the tables built for it, carried to
-/// the next call.
+/// The previous call's netlist, the stamp of the connectivity table it
+/// came with, and the tables built for it, carried to the next call.
 #[derive(Debug, Clone)]
 struct PrevState {
     netlist: Netlist,
+    stamp: u64,
     tables: Tables,
 }
 
@@ -118,6 +120,8 @@ impl IncrementalSynthesis {
     /// much of the previous call's work as the gate-prefix overlap
     /// allows. Reports are in option order and bit-identical (modulo
     /// [`StaStats`](crate::StaStats)) to [`Synthesizer::run_many`].
+    /// Builds the netlist's connectivity table and runs
+    /// [`IncrementalSynthesis::run_connected`].
     ///
     /// # Errors
     ///
@@ -128,14 +132,34 @@ impl IncrementalSynthesis {
         netlist: &Netlist,
         options: &[SynthesisOptions],
     ) -> Result<Vec<SynthesisReport>, SynthError> {
+        let conn = NetConn::build(netlist);
+        self.run_connected(Connected::new(netlist, &conn), options)
+    }
+
+    /// [`IncrementalSynthesis::run_many`] over a netlist whose
+    /// connectivity table is already built, such as the one
+    /// [`IncrementalMultiplier`](rlmul_rtl::IncrementalMultiplier)
+    /// keeps. When the table's last update started from the table
+    /// state the previous call read, only the nets it touched have
+    /// their loads re-summed.
+    ///
+    /// # Errors
+    ///
+    /// As [`IncrementalSynthesis::run_many`].
+    pub fn run_connected(
+        &mut self,
+        connected: Connected<'_>,
+        options: &[SynthesisOptions],
+    ) -> Result<Vec<SynthesisReport>, SynthError> {
+        let (netlist, conn) = (connected.netlist(), connected.conn());
         check(netlist, options)?;
         let obs = rlmul_obs::global();
         let _span = obs.span("synth.inc_run");
         // check: allow(wall-clock) duration feeds the obs histogram only
         let started = std::time::Instant::now();
 
-        let (state, mode) = self.prepare_state(netlist);
-        let reports = synthesize(netlist, &state.tables, self.library(), options);
+        let (state, mode) = self.prepare_state(netlist, conn);
+        let reports = synthesize(netlist, conn, &state.tables, self.library(), options);
 
         // Debug oracle: the patched tables must give the same PPA as a
         // from-scratch run, bit for bit (work counters aside).
@@ -177,7 +201,7 @@ impl IncrementalSynthesis {
 
     /// Produces the tables for `netlist` — patched from the previous
     /// call's when the netlists overlap, built from scratch otherwise.
-    fn prepare_state(&mut self, netlist: &Netlist) -> (PrevState, SynthMode) {
+    fn prepare_state(&mut self, netlist: &Netlist, conn: &NetConn) -> (PrevState, SynthMode) {
         let _s = rlmul_obs::global().span("synth.inc_prepare");
         let taken = self.prev.take();
         let library = self.synthesizer.library();
@@ -187,34 +211,28 @@ impl IncrementalSynthesis {
             // from-scratch build.
             Some(p) if p.netlist.inputs() == netlist.inputs() => p,
             _ => {
-                let tables = Tables::build(netlist, library);
-                return (PrevState { netlist: netlist.clone(), tables }, SynthMode::Full);
+                let tables = Tables::build(netlist, conn, library);
+                let state = PrevState { netlist: netlist.clone(), stamp: conn.stamp(), tables };
+                return (state, SynthMode::Full);
             }
         };
 
-        let k = shared_gate_prefix(prev.netlist.gates(), netlist.gates());
+        // The table's last edit applies when it started from the state
+        // the previous call read; then its prefix is the shared one.
+        let edit = conn.edit_since(prev.stamp);
+        let k =
+            edit.map_or_else(|| shared_gate_prefix(prev.netlist.gates(), netlist.gates()), |e| e.0);
         let PrevState {
             netlist: mut prev_netlist,
-            tables: Tables { mut conn, baseline, mut dffs, mut cell_of, mut loads, mut probs },
+            stamp: _,
+            tables: Tables { baseline, mut dffs, mut cell_of, mut loads, mut probs },
         } = prev;
 
-        conn.rebuild(netlist);
         // Prefix bindings are all-X1 already; only the new tail needs
         // lookups.
         cell_of.truncate(k);
         cell_of.extend(netlist.gates()[k..].iter().map(|g| library.cell_index(g.kind, Drive::X1)));
-        // Every load is re-summed. A prefix gate whose output load moved
-        // seeds the baseline rebase; one whose loads all kept their bits
-        // keeps its arrival, since its cell did not change and its fanin
-        // is rebased before it is read.
-        let old_loads = std::mem::take(&mut loads);
-        net_loads(netlist, library, &conn, &cell_of, &mut loads);
-        let seeds: Vec<usize> = (0..loads.len().min(old_loads.len()))
-            .filter(|&net| loads[net] != old_loads[net])
-            .filter_map(|net| conn.driver_index(NetId(net as u32)))
-            .map(|d| d as usize)
-            .filter(|&d| d < k)
-            .collect();
+        let seeds = rebase_loads(library, conn, &cell_of, &mut loads, edit.map(|e| e.1), k);
         let nets = netlist.num_nets() as usize;
         probs.resize(nets, 0.5);
         propagate_probabilities(netlist, &mut probs, k);
@@ -224,19 +242,59 @@ impl IncrementalSynthesis {
 
         // The rebase reads the templates through a mapping that takes
         // them over and hands them back uncopied.
-        let mapped = MappedNetlist::map_with_parts(netlist, library, &conn, cell_of, loads);
+        let mapped = MappedNetlist::map_with_parts(netlist, library, conn, cell_of, loads);
         let mut sta = IncrementalSta::from_baseline(baseline);
         sta.patch_baseline(&mapped, &seeds, k);
         let (cell_of, loads) = mapped.into_parts();
         prev_netlist.clone_from(netlist);
-        let tables = Tables { conn, baseline: sta.into_arrivals(), dffs, cell_of, loads, probs };
-        (PrevState { netlist: prev_netlist, tables }, SynthMode::Patched)
+        let tables = Tables { baseline: sta.into_arrivals(), dffs, cell_of, loads, probs };
+        (PrevState { netlist: prev_netlist, stamp: conn.stamp(), tables }, SynthMode::Patched)
     }
+}
+
+/// Brings `loads` from an earlier netlist that shares the table's
+/// first `k` gates up to date under the binding `cell_of`, and returns
+/// the baseline rebase seeds: every gate before `k` driving a net whose
+/// load moved. A gate whose loads all kept their bits keeps its
+/// arrival, since its cell did not change and its fanin is rebased
+/// before it is read.
+///
+/// Only the nets in `touched` are re-summed, every net without it: a
+/// net outside it keeps its sinks, its primary-output fanout and, its
+/// sinks being prefix gates, their cells. Each load is summed in sink
+/// order, so its bits equal a full [`net_loads`] pass's.
+///
+/// [`net_loads`]: crate::map::net_loads
+fn rebase_loads(
+    library: &Library,
+    conn: &NetConn,
+    cell_of: &[usize],
+    loads: &mut Vec<f64>,
+    touched: Option<&[NetId]>,
+    k: usize,
+) -> Vec<usize> {
+    let old_len = loads.len();
+    loads.resize(conn.num_nets(), 0.0);
+    let mut seeds = Vec::new();
+    let mut resum = |net: usize| {
+        let load = net_load(library, conn, cell_of, net);
+        let old = std::mem::replace(&mut loads[net], load);
+        if net < old_len && old != load {
+            let driver = conn.driver_of(NetId(net as u32)).map(|d| d as usize);
+            seeds.extend(driver.filter(|&d| d < k));
+        }
+    };
+    match touched {
+        Some(touched) => touched.iter().for_each(|net| resum(net.0 as usize)),
+        None => (0..conn.num_nets()).for_each(resum),
+    }
+    seeds
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::map::net_loads;
     use crate::StaStats;
     use proptest::prelude::*;
     use rlmul_ct::{CompressorTree, PpgKind};
@@ -301,13 +359,14 @@ mod tests {
         assert_eq!(strip_sta(r.into_iter().next().unwrap()), strip_sta(o));
     }
 
-    /// Checks the session's rebuilt connectivity table and cached load
+    /// Checks a connectivity table and the session's cached load
     /// template against a naive scan of `netlist`'s gates: every net's
     /// `(gate, pin)` sinks in ascending order, its driver, its
     /// primary-output fanout, and its load summed over those sinks.
     fn tables_match_naive_scan(
         session: &IncrementalSynthesis,
         netlist: &Netlist,
+        conn: &NetConn,
     ) -> Result<(), TestCaseError> {
         let state = session.prev.as_ref().expect("a call left its state");
         let nets = netlist.num_nets() as usize;
@@ -330,12 +389,11 @@ mod tests {
             }
         }
         let library = session.library();
-        let conn = &state.tables.conn;
         prop_assert_eq!(conn.num_nets(), nets);
         for n in 0..nets {
             let net = NetId(n as u32);
             prop_assert_eq!(conn.sinks(net), &sinks[n][..], "sinks of net {}", n);
-            prop_assert_eq!(conn.driver_index(net), driver[n].filter(|_| !net.is_const()));
+            prop_assert_eq!(conn.driver_of(net), driver[n].filter(|_| !net.is_const()));
             prop_assert_eq!(conn.po_fanout(net), po_fanout[n], "po fanout of net {}", n);
             let pin_caps: f64 = sinks[n]
                 .iter()
@@ -353,6 +411,38 @@ mod tests {
         Ok(())
     }
 
+    /// Re-sums the session's cached loads onto `netlist` over the
+    /// table's touched nets only, and checks the load bits and the
+    /// rebase seeds against a full gate-order re-sum: every net whose
+    /// load moved seeds its driver when that lies in the shared prefix.
+    fn touched_resum_matches_full(
+        session: &IncrementalSynthesis,
+        connected: Connected<'_>,
+    ) -> Result<(), TestCaseError> {
+        let (netlist, conn) = (connected.netlist(), connected.conn());
+        let state = session.prev.as_ref().expect("a call left its state");
+        let (shared, touched) = conn.edit_since(state.stamp).expect("the table moved on from it");
+        prop_assert_eq!(shared, shared_gate_prefix(state.netlist.gates(), netlist.gates()));
+        let library = session.library();
+        let mut cell_of = state.tables.cell_of.clone();
+        cell_of.truncate(shared);
+        cell_of.extend(
+            netlist.gates()[shared..].iter().map(|g| library.cell_index(g.kind, Drive::X1)),
+        );
+        let (old, mut part, mut full) = (&state.tables.loads, state.tables.loads.clone(), vec![]);
+        let part_seeds = rebase_loads(library, conn, &cell_of, &mut part, Some(touched), shared);
+        net_loads(netlist, library, conn, &cell_of, &mut full);
+        let full_seeds: Vec<usize> = (0..full.len().min(old.len()))
+            .filter(|&net| full[net] != old[net])
+            .filter_map(|net| conn.driver_of(NetId(net as u32)).map(|d| d as usize))
+            .filter(|&d| d < shared)
+            .collect();
+        let bits = |v: &[f64]| v.iter().map(|l| l.to_bits()).collect::<Vec<_>>();
+        prop_assert_eq!(bits(&part), bits(&full));
+        prop_assert_eq!(part_seeds, full_seeds);
+        Ok(())
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(4))]
 
@@ -360,25 +450,61 @@ mod tests {
         /// edits and reverts alike — the connectivity table and the
         /// load template equal a naive scan of the netlist. The walks
         /// cover 8-bit AND, 6-bit MBE, and 6-bit AND with both pipeline
-        /// cuts registered, whose netlists carry Dff gates.
+        /// cuts registered, whose netlists carry Dff gates, each
+        /// synthesized through [`IncrementalSynthesis::run_many`]; and
+        /// 8-bit AND and MBE through the table an
+        /// [`IncrementalMultiplier`] keeps, where only the touched nets
+        /// are re-summed, to the same load bits and rebase seeds as a
+        /// full re-sum.
         #[test]
         fn tables_match_a_naive_scan_along_walks(seed in any::<u64>()) {
             let registered = PipelineCuts { after_ppg: true, before_cpa: true };
-            for (bits, kind, cuts) in [
-                (8, PpgKind::And, PipelineCuts::default()),
-                (6, PpgKind::Mbe, PipelineCuts::default()),
-                (6, PpgKind::And, registered),
+            let options: Vec<SynthesisOptions> =
+                TARGETS.iter().map(|&t| SynthesisOptions::with_target(t)).collect();
+            // An edit whose only hold on a prefix net is the output
+            // port: `m` stops being an output bit, which moves its load
+            // and makes its driver a rebase seed.
+            let edit = |last: GateKind, read_m: bool| {
+                let mut b = rlmul_rtl::NetlistBuilder::new("edit");
+                let x = b.input("x", 2);
+                let n = b.and2(x[0], x[1]);
+                let m = b.xor2(x[0], x[1]);
+                let z = if last == GateKind::Or2 { b.or2(n, x[0]) } else { b.nand2(n, x[0]) };
+                b.output("o", &if read_m { vec![z, m] } else { vec![z] });
+                b.finish()
+            };
+            let (before, after) = (edit(GateKind::Or2, true), edit(GateKind::Nand2, false));
+            let mut conn = NetConn::build(&before);
+            let mut session = IncrementalSynthesis::nangate45();
+            session.run_connected(Connected::new(&before, &conn), &options).unwrap();
+            conn.update(&after, 2, &before.gates()[2..], before.outputs());
+            touched_resum_matches_full(&session, Connected::new(&after, &conn))?;
+            session.run_connected(Connected::new(&after, &conn), &options).unwrap();
+            tables_match_naive_scan(&session, &after, &conn)?;
+
+            for (bits, kind, cuts, handed_over) in [
+                (8, PpgKind::And, PipelineCuts::default(), false),
+                (6, PpgKind::Mbe, PipelineCuts::default(), false),
+                (6, PpgKind::And, registered, false),
+                (8, PpgKind::And, PipelineCuts::default(), true),
+                (8, PpgKind::Mbe, PipelineCuts::default(), true),
             ] {
                 let elaborate = |t: &CompressorTree| {
                     elaborate_pipelined(t, AdderKind::default(), cuts).unwrap()
                 };
                 let mut tree = CompressorTree::wallace(bits, kind).unwrap();
                 let mut session = IncrementalSynthesis::nangate45();
+                let mut mul = IncrementalMultiplier::new(&tree).unwrap();
                 let start = elaborate(&tree);
                 let has_dffs = start.gates().iter().any(|g| g.kind == GateKind::Dff);
                 prop_assert_eq!(has_dffs, cuts == registered);
-                session.run_multi(&start, &TARGETS).unwrap();
-                tables_match_naive_scan(&session, &start)?;
+                if handed_over {
+                    session.run_connected(mul.connected(), &options).unwrap();
+                    tables_match_naive_scan(&session, mul.netlist(), mul.conn())?;
+                } else {
+                    session.run_multi(&start, &TARGETS).unwrap();
+                    tables_match_naive_scan(&session, &start, &NetConn::build(&start))?;
+                }
                 let mut rng = seed;
                 let mut next = || {
                     rng = rng.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
@@ -390,12 +516,26 @@ mod tests {
                     // or the netlist before it.
                     let actions = tree.valid_actions();
                     let proposal = tree.apply_action(actions[next() % actions.len()]).unwrap();
-                    let netlist = elaborate(&proposal);
-                    session.run_multi(&netlist, &TARGETS).unwrap();
-                    prop_assert_eq!(session.last_mode(), Some(SynthMode::Patched));
-                    tables_match_naive_scan(&session, &netlist)?;
+                    if handed_over {
+                        mul.retarget(&proposal).unwrap();
+                        touched_resum_matches_full(&session, mul.connected())?;
+                        session.run_connected(mul.connected(), &options).unwrap();
+                        prop_assert_eq!(session.last_mode(), Some(SynthMode::Patched));
+                        tables_match_naive_scan(&session, mul.netlist(), mul.conn())?;
+                    } else {
+                        let netlist = elaborate(&proposal);
+                        session.run_multi(&netlist, &TARGETS).unwrap();
+                        prop_assert_eq!(session.last_mode(), Some(SynthMode::Patched));
+                        tables_match_naive_scan(&session, &netlist, &NetConn::build(&netlist))?;
+                    }
                     if next() % 2 == 0 {
                         tree = proposal;
+                    } else if handed_over {
+                        // A rejection's follow-up: back to the kept tree.
+                        mul.retarget(&tree).unwrap();
+                        touched_resum_matches_full(&session, mul.connected())?;
+                        session.run_connected(mul.connected(), &options).unwrap();
+                        tables_match_naive_scan(&session, mul.netlist(), mul.conn())?;
                     }
                 }
             }

@@ -46,7 +46,7 @@ mod synth;
 pub use error::SynthError;
 pub use inc::{IncrementalSynthesis, SynthMode};
 pub use library::{Cell, Drive, Library};
-pub use map::{MappedNetlist, NetConn};
+pub use map::MappedNetlist;
 pub use power::{estimate as estimate_power, PowerReport};
 pub use size::{size_to_target, SizingOutcome};
 pub use sta::{analyze, IncrementalSta, StaStats, TimingReport};

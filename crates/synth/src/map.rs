@@ -5,7 +5,7 @@
 //! selection under a delay target — happens in the sizing pass.
 
 use crate::library::{Drive, Library};
-use rlmul_rtl::{Gate, GateKind, NetId, Netlist};
+use rlmul_rtl::{GateKind, NetConn, NetId, Netlist};
 use std::borrow::Cow;
 
 pub(crate) fn kind_cell_stem(kind: GateKind) -> &'static str {
@@ -23,120 +23,6 @@ pub(crate) fn kind_cell_stem(kind: GateKind) -> &'static str {
         GateKind::FullAdder => "FA",
         GateKind::Compressor42 => "COMP42",
         GateKind::Dff => "DFF",
-    }
-}
-
-/// Per-net connectivity of one netlist in compressed sparse rows:
-/// every net's `(gate, pin)` sinks are one slice of a single entry
-/// table, next to the driver table and primary-output fanout. Factored
-/// out of [`MappedNetlist`] so one instance can be shared by several
-/// mappings (one per delay target in the evaluation pipeline).
-///
-/// Each sink slice is in ascending `(gate, pin)` order. That invariant
-/// matters: capacitive loads are floating-point sums over sink lists,
-/// and bit-identical synthesis numbers require summing in the same
-/// order.
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct NetConn {
-    /// Net `n`'s sinks are `sinks[offsets[n]..offsets[n + 1]]`.
-    offsets: Vec<u32>,
-    /// `(gate index, input pin)` sink entries, net by net.
-    sinks: Vec<(u32, u8)>,
-    /// For every net: the gate driving it, [`NO_DRIVER`] for primary
-    /// inputs, constants and unused ids.
-    driver: Vec<u32>,
-    /// For every net: number of primary-output bits it drives.
-    po_fanout: Vec<u16>,
-}
-
-/// [`NetConn::driver`] entry of an undriven net.
-const NO_DRIVER: u32 = u32::MAX;
-
-/// `(net, pin)` of every non-constant input of `g`.
-fn sinks_of(g: &Gate) -> impl Iterator<Item = (NetId, usize)> + '_ {
-    g.inputs().iter().enumerate().filter(|(_, i)| !i.is_const()).map(|(pin, &i)| (i, pin))
-}
-
-impl NetConn {
-    /// Builds the tables in O(gates + nets).
-    pub fn build(netlist: &Netlist) -> Self {
-        let mut conn = NetConn::default();
-        conn.rebuild(netlist);
-        conn
-    }
-
-    /// Rebuilds the tables for `netlist`, reusing their allocations.
-    /// A counting pass sizes every net's slice; a second pass over the
-    /// gates in ascending order then fills each slice in `(gate, pin)`
-    /// order.
-    pub fn rebuild(&mut self, netlist: &Netlist) {
-        let nets = netlist.num_nets() as usize;
-        // Sink counts land two slots up, so that after the prefix sum
-        // `offsets[n + 1]` is net `n`'s first slot and can serve as its
-        // fill cursor, ending as its one-past-last slot.
-        self.offsets.clear();
-        self.offsets.resize(nets + 2, 0);
-        for g in netlist.gates() {
-            for (net, _) in sinks_of(g) {
-                self.offsets[net.0 as usize + 2] += 1;
-            }
-        }
-        let mut end = 0;
-        for slot in &mut self.offsets[2..] {
-            end += *slot;
-            *slot = end;
-        }
-        self.sinks.clear();
-        self.sinks.resize(self.offsets[nets + 1] as usize, (0, 0));
-        self.driver.clear();
-        self.driver.resize(nets, NO_DRIVER);
-        for (gi, g) in netlist.gates().iter().enumerate() {
-            for (net, pin) in sinks_of(g) {
-                let cursor = &mut self.offsets[net.0 as usize + 1];
-                self.sinks[*cursor as usize] = (gi as u32, pin as u8);
-                *cursor += 1;
-            }
-            for &o in g.outputs() {
-                self.driver[o.0 as usize] = gi as u32;
-            }
-        }
-        self.offsets.pop();
-        self.po_fanout.clear();
-        self.po_fanout.resize(nets, 0);
-        for p in netlist.outputs() {
-            for &b in &p.bits {
-                if !b.is_const() {
-                    self.po_fanout[b.0 as usize] += 1;
-                }
-            }
-        }
-    }
-
-    /// Number of nets described.
-    pub(crate) fn num_nets(&self) -> usize {
-        self.driver.len()
-    }
-
-    /// `(gate, pin)` sinks of `net`, in ascending order.
-    #[inline]
-    pub(crate) fn sinks(&self, net: NetId) -> &[(u32, u8)] {
-        let n = net.0 as usize;
-        &self.sinks[self.offsets[n] as usize..self.offsets[n + 1] as usize]
-    }
-
-    /// Number of primary-output bits `net` drives.
-    pub(crate) fn po_fanout(&self, net: NetId) -> u16 {
-        self.po_fanout[net.0 as usize]
-    }
-
-    /// Driving gate of `net`, `None` for primary inputs, constants,
-    /// and out-of-range ids (nets of an earlier netlist).
-    #[inline]
-    pub(crate) fn driver_index(&self, net: NetId) -> Option<u32> {
-        if net.is_const() {
-            return None;
-        }
-        self.driver.get(net.0 as usize).copied().filter(|&d| d != NO_DRIVER)
     }
 }
 
@@ -174,7 +60,7 @@ pub(crate) fn net_loads(
     loads.resize(netlist.num_nets() as usize, 0.0);
     for (g, &ci) in netlist.gates().iter().zip(cell_of) {
         let cap = library.cell(ci).input_cap_ff;
-        for (net, _) in sinks_of(g) {
+        for net in g.inputs().iter().filter(|i| !i.is_const()) {
             loads[net.0 as usize] += cap;
         }
     }
@@ -284,7 +170,7 @@ impl<'a> MappedNetlist<'a> {
 
     /// Gate driving `net`, or `None` for primary inputs and constants.
     pub fn driver_of(&self, net: NetId) -> Option<usize> {
-        self.conn.driver_index(net).map(|gi| gi as usize)
+        self.conn.driver_of(net).map(|gi| gi as usize)
     }
 
     /// Capacitive load on `net` in fF: sink pin caps, wire estimate,

@@ -7,12 +7,12 @@
 //! delay targets with a common move budget along one sizing trajectory.
 
 use crate::library::Library;
-use crate::map::{net_loads, x1_cell_of, MappedNetlist, NetConn};
+use crate::map::{net_loads, x1_cell_of, MappedNetlist};
 use crate::power::{report_sums, signal_probabilities};
 use crate::size::{size_to_targets, TargetStop};
 use crate::sta::{extend_dffs, worst_endpoint, StaStats};
 use crate::SynthError;
-use rlmul_rtl::Netlist;
+use rlmul_rtl::{NetConn, Netlist};
 
 /// Options for one synthesis run.
 #[derive(Debug, Clone)]
@@ -68,10 +68,10 @@ impl SynthesisReport {
     }
 }
 
-/// The per-netlist state every report of one call reads.
+/// The per-netlist state every report of one call reads, next to the
+/// netlist's connectivity table.
 #[derive(Debug, Clone)]
 pub(crate) struct Tables {
-    pub(crate) conn: NetConn,
     /// All-X1 arrival times (the sizing trajectories' starting point).
     pub(crate) baseline: Vec<f64>,
     /// Dff gate indices in ascending (= netlist) order.
@@ -86,15 +86,13 @@ pub(crate) struct Tables {
 }
 
 impl Tables {
-    /// The tables of `netlist`, built from scratch. The baseline costs
-    /// one full timing pass.
-    pub(crate) fn build(netlist: &Netlist, library: &Library) -> Self {
-        let conn = NetConn::build(netlist);
+    /// The tables of `netlist` with connectivity `conn`, built from
+    /// scratch. The baseline costs one full timing pass.
+    pub(crate) fn build(netlist: &Netlist, conn: &NetConn, library: &Library) -> Self {
         let cell_of = x1_cell_of(netlist, library);
         let mut loads = Vec::new();
-        net_loads(netlist, library, &conn, &cell_of, &mut loads);
+        net_loads(netlist, library, conn, &cell_of, &mut loads);
         let mut tables = Tables {
-            conn,
             baseline: Vec::new(),
             dffs: Vec::new(),
             cell_of,
@@ -102,7 +100,7 @@ impl Tables {
             probs: signal_probabilities(netlist),
         };
         extend_dffs(netlist, 0, &mut tables.dffs);
-        tables.baseline = crate::sta::arrivals(&tables.mapping(netlist, library));
+        tables.baseline = crate::sta::arrivals(&tables.mapping(netlist, conn, library));
         tables
     }
 
@@ -110,12 +108,13 @@ impl Tables {
     pub(crate) fn mapping<'a>(
         &'a self,
         netlist: &'a Netlist,
+        conn: &'a NetConn,
         library: &'a Library,
     ) -> MappedNetlist<'a> {
         MappedNetlist::map_with_parts(
             netlist,
             library,
-            &self.conn,
+            conn,
             self.cell_of.clone(),
             self.loads.clone(),
         )
@@ -156,11 +155,12 @@ pub(crate) fn check(netlist: &Netlist, options: &[SynthesisOptions]) -> Result<(
     }
 }
 
-/// One report per option, in option order, off `netlist`'s `tables`.
-/// Each report's [`StaStats`] counts only the incremental timing work
-/// of its own trajectory prefix.
+/// One report per option, in option order, off `netlist`'s `conn` and
+/// `tables`. Each report's [`StaStats`] counts only the incremental
+/// timing work of its own trajectory prefix.
 pub(crate) fn synthesize(
     netlist: &Netlist,
+    conn: &NetConn,
     tables: &Tables,
     library: &Library,
     options: &[SynthesisOptions],
@@ -171,7 +171,7 @@ pub(crate) fn synthesize(
     for (i, o) in options.iter().enumerate() {
         if o.target_delay_ns.is_none() {
             let _r = obs.span("synth.report");
-            let mapped = tables.mapping(netlist, library);
+            let mapped = tables.mapping(netlist, conn, library);
             let (worst, _) = worst_endpoint(&mapped, &tables.baseline, Some(&tables.dffs));
             let stop = TargetStop {
                 worst_delay_ns: worst,
@@ -201,7 +201,7 @@ pub(crate) fn synthesize(
             .collect();
         let targets: Vec<f64> =
             group.iter().map(|&i| options[i].target_delay_ns.expect("targeted")).collect();
-        let mut mapped = tables.mapping(netlist, library);
+        let mut mapped = tables.mapping(netlist, conn, library);
         size_to_targets(
             &mut mapped,
             &targets,
@@ -310,8 +310,9 @@ impl Synthesizer {
         let _span = obs.span("synth.run");
         // check: allow(wall-clock) duration feeds the obs histogram only
         let started = std::time::Instant::now();
-        let tables = Tables::build(netlist, &self.library);
-        let mut reports = synthesize(netlist, &tables, &self.library, options);
+        let conn = NetConn::build(netlist);
+        let tables = Tables::build(netlist, &conn, &self.library);
+        let mut reports = synthesize(netlist, &conn, &tables, &self.library, options);
         for r in &mut reports {
             r.sta.merge(StaStats::full_pass(netlist));
         }

@@ -212,9 +212,9 @@ fn all_elaborated_structures_lint_clean() {
     }
 }
 
-/// Release-only spot-check of the incremental pipeline's arena state:
-/// walk a few random actions through `IncrementalMultiplier` (the
-/// spliced arena is never compacted) and SAT-prove the live arena
+/// Release-only spot-check of the incremental pipeline's arena view:
+/// walk a few random actions through `IncrementalMultiplier` and
+/// SAT-prove the arena mirror it builds of the replayed netlist
 /// equivalent to a from-scratch golden Dadda elaboration, straight
 /// from the slot representation.
 #[test]
@@ -235,7 +235,7 @@ fn incremental_arena_walks_prove_equivalent() {
             inc.retarget(&cur).unwrap();
             assert!(
                 prove_arena_equiv(inc.arena(), &golden).unwrap(),
-                "{kind} walk step {step}: spliced arena must stay equivalent to golden Dadda"
+                "{kind} walk step {step}: arena mirror must stay equivalent to golden Dadda"
             );
         }
     }
